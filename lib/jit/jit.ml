@@ -102,8 +102,11 @@ let require_include_dir () =
 (* Bump when the generated code's shape changes so stale artifacts from an
    older generator are never Dynlinked.  2: the cache key covers the
    evaluation order (the optimizer's scheduler reorders components without
-   changing the pretty-printed spec text). *)
-let generator_version = 2
+   changing the pretty-printed spec text).  4: specs larger than one chunk
+   get activity-scheduled chunk functions (3 is skipped: a discarded
+   revision of this generator used it, and its artifacts may still sit in
+   caches). *)
+let generator_version = 4
 
 let default_cache_dir () =
   match Sys.getenv_opt "ASIM_JIT_CACHE_DIR" with
@@ -291,6 +294,60 @@ let ctx_fields =
     "outputs"; "sel_error"; "addr_error";
   ]
 
+(* --- chunk activity ------------------------------------------------------------ *)
+
+(* Combinational components per chunk.  A spec whose combinational phase fits
+   in one chunk gets a single straight-line step function; a larger one is
+   split, in evaluation order, into top-level chunk functions, and the step
+   runs a chunk only when one of its inputs changed (GSIM's supernodes, the
+   flat kernel's dirty bits at chunk grain). *)
+let chunk_size = 128
+
+(* [readers.(slot)]: the chunks holding a combinational reader of [slot], in
+   ascending order.  Every referenced name counts, including operands the
+   generated code folds away: an extra wake-up costs time, never
+   correctness. *)
+let chunk_readers ids (order : Component.t array) =
+  let readers = Array.make (max 1 (Hashtbl.length ids)) [] in
+  Array.iteri
+    (fun pos c ->
+      let chunk = pos / chunk_size in
+      List.iter
+        (fun name ->
+          let s = slot ids name in
+          match readers.(s) with
+          | c' :: _ when c' = chunk -> ()
+          | l -> readers.(s) <- chunk :: l)
+        (List.concat_map Expr.names (Component.combinational_inputs c)))
+    order;
+  Array.map List.rev readers
+
+let marks chunks =
+  String.concat "; "
+    (List.map (Printf.sprintf "Bytes.unsafe_set active %d '\\001'") chunks)
+
+(* --- module text ---------------------------------------------------------------- *)
+
+let put e indent fmt = Printf.ksprintf (fun s -> Emitter.line e (indent ^ s)) fmt
+
+(* One combinational component.  [woken] are the chunks to mark when its
+   value changes: with none, the store is unconditional.  The fault hook is
+   config-dependent so it is always emitted, gated on the per-slot flag. *)
+let emit_comb e indent ids ~woken (c : Component.t) =
+  let id = slot ids c.name in
+  (match c.kind with
+  | Component.Alu a -> put e indent "let v = %s in" (render_alu ids a)
+  | Component.Selector { select; cases } ->
+      put e indent "let v = %s in" (render_selector ids ~id ~select ~cases)
+  | Component.Memory _ -> assert false);
+  put e indent "let v = if Array.unsafe_get faulted %d then fault %d v else v in" id id;
+  match woken with
+  | [] -> put e indent "Array.unsafe_set vals %d v;" id
+  | chunks ->
+      put e indent
+        "if v <> Array.unsafe_get vals %d then begin Array.unsafe_set vals %d v; %s end;"
+        id id (marks chunks)
+
 let generate_source (analysis : Analysis.t) =
   let spec = analysis.Analysis.spec in
   let ids = Hashtbl.create 64 in
@@ -298,6 +355,10 @@ let generate_source (analysis : Analysis.t) =
     (fun i (c : Component.t) -> Hashtbl.replace ids c.name i)
     spec.Spec.components;
   let mems, _cells_len = layout_memories analysis ids in
+  let order = Array.of_list analysis.Analysis.order in
+  let nchunks = (Array.length order + chunk_size - 1) / chunk_size in
+  let chunked = nchunks > 1 in
+  let readers = if chunked then chunk_readers ids order else [||] in
   let e = Emitter.create () in
   let line = Emitter.line e and linef fmt = Emitter.linef e fmt in
   linef "(* %s.ml — generated by asim_jit; do not edit. *)"
@@ -305,25 +366,61 @@ let generate_source (analysis : Analysis.t) =
   Emitter.blank e;
   List.iter line dologic_text;
   Emitter.blank e;
+  if chunked then begin
+    (* The slot of every combinational component, in evaluation order: what
+       [make] needs to pin the chunks holding a fault target. *)
+    line "let comb_slots = [|";
+    Array.iteri
+      (fun pos (c : Component.t) ->
+        linef "  %d;%s" (slot ids c.name)
+          (if pos mod chunk_size = 0 then Printf.sprintf " (* chunk %d *)" (pos / chunk_size)
+           else ""))
+      order;
+    line "|]";
+    Emitter.blank e;
+    for chunk = 0 to nchunks - 1 do
+      linef
+        "let chunk_%d (vals : int array) (faulted : bool array) (fault : int -> int -> int)"
+        chunk;
+      line "    (sel_error : int -> int -> int -> int) (active : Bytes.t) =";
+      for pos = chunk * chunk_size to min (Array.length order) ((chunk + 1) * chunk_size) - 1 do
+        let c = order.(pos) in
+        let woken = List.filter (fun r -> r > chunk) readers.(slot ids c.name) in
+        emit_comb e "  " ids ~woken c
+      done;
+      line "  ()";
+      Emitter.blank e
+    done
+  end;
   line "let make (ctx : Asim_jit_runtime.ctx) =";
   List.iter
     (fun f -> linef "  let %s = ctx.Asim_jit_runtime.%s in" f f)
     ctx_fields;
+  if chunked then begin
+    (* Every chunk starts active, so a fresh or adopted state is evaluated
+       in full on the first cycle.  A chunk holding a fault target is pinned
+       active: a cycle-windowed fault keeps firing over quiet logic. *)
+    linef "  let active = Bytes.make %d '\\001' in" nchunks;
+    linef "  let pinned = Bytes.make %d '\\000' in" nchunks;
+    linef
+      "  Array.iteri (fun pos id -> if Array.unsafe_get faulted id then \
+       Bytes.unsafe_set pinned (pos / %d) '\\001') comb_slots;"
+      chunk_size
+  end;
   line "  fun () ->";
-  let body fmt = Printf.ksprintf (fun s -> Emitter.line e ("    " ^ s)) fmt in
-  (* Combinational phase, in topological evaluation order; the fault hook is
-     config-dependent so it is always emitted, gated on the per-slot flag. *)
-  List.iter
-    (fun (c : Component.t) ->
-      let id = slot ids c.name in
-      (match c.kind with
-      | Component.Alu a -> body "let v = %s in" (render_alu ids a)
-      | Component.Selector { select; cases } ->
-          body "let v = %s in" (render_selector ids ~id ~select ~cases)
-      | Component.Memory _ -> assert false);
-      body "let v = if Array.unsafe_get faulted %d then fault %d v else v in" id id;
-      body "Array.unsafe_set vals %d v;" id)
-    analysis.Analysis.order;
+  let body fmt = put e "    " fmt in
+  if chunked then
+    (* A chunk's byte is cleared only after it returns, so a selector error
+       re-raises if the machine is stepped again, as in the flat kernel. *)
+    for chunk = 0 to nchunks - 1 do
+      body "if Bytes.unsafe_get active %d <> '\\000' then begin" chunk;
+      body "  chunk_%d vals faulted fault sel_error active;" chunk;
+      body "  Bytes.unsafe_set active %d (Bytes.unsafe_get pinned %d)" chunk chunk;
+      body "end;"
+    done
+  else
+    (* Combinational phase, in topological evaluation order. *)
+    Array.iter (emit_comb e "    " ids ~woken:[]) order;
   body "if trace_active then trace_cycle ();";
   (* Address and op snapshots for every memory happen before any update (the
      paper's two-phase cycle); data expressions are evaluated lazily inside
@@ -382,6 +479,8 @@ let generate_source (analysis : Analysis.t) =
       and trace_read_stmt =
         Printf.sprintf "trace_read %d %s (Array.unsafe_get vals %d)" k a id
       in
+      let woken = if chunked then readers.(id) else [] in
+      if woken <> [] then body "let old%d = Array.unsafe_get vals %d in" k id;
       (match Lower.memory_const_op g.g_mem with
       | Some op ->
           (* §4.4 memory specialization: the op is spec-constant, so only the
@@ -408,7 +507,12 @@ let generate_source (analysis : Analysis.t) =
       body
         "if Array.unsafe_get faulted %d then Array.unsafe_set vals %d (fault %d \
          (Array.unsafe_get vals %d));"
-        id id id id)
+        id id id id;
+      (* Marked right after this memory's own update, so an address error in
+         a later memory cannot lose the marks (the flat kernel's rule). *)
+      if woken <> [] then
+        body "if Array.unsafe_get vals %d <> old%d then begin %s end;" id k
+          (marks woken))
     mems;
   body "()";
   Emitter.blank e;
@@ -417,13 +521,26 @@ let generate_source (analysis : Analysis.t) =
 
 (* --- compile, cache, Dynlink -------------------------------------------------- *)
 
-(* One lock serializes builds and memo access across domains; the lock file
-   extends the single-flight guarantee across processes (batch workers,
-   parallel fuzz campaigns sharing a cache directory). *)
-let memo : (string, Runtime.ctx -> unit -> unit) Hashtbl.t = Hashtbl.create 8
-let memo_lock = Mutex.create ()
+(* Single flight per key: the first domain to ask for a spec owns its build
+   and marks the key [Building]; later askers for the same key wait on
+   [memo_changed], while other keys proceed.  [memo_lock] guards only the
+   table, never a compile.  [load_lock] serializes Dynlink and the
+   [Runtime] hand-off, and the lock file extends single flight across
+   processes (batch workers, parallel fuzz campaigns sharing a cache
+   directory). *)
+type entry = Building | Ready of (Runtime.ctx -> unit -> unit)
 
-let clear_memory_cache () = Mutex.protect memo_lock (fun () -> Hashtbl.reset memo)
+let memo : (string, entry) Hashtbl.t = Hashtbl.create 8
+let memo_lock = Mutex.create ()
+let memo_changed = Condition.create ()
+let load_lock = Mutex.create ()
+
+(* Builds in flight keep their entry: their owners publish on completion. *)
+let clear_memory_cache () =
+  Mutex.protect memo_lock (fun () ->
+      Hashtbl.filter_map_inplace
+        (fun _ entry -> match entry with Ready _ -> None | Building -> Some entry)
+        memo)
 
 let with_file_lock path f =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
@@ -445,9 +562,12 @@ let rec remove_tree path =
    interrupted by an exception that unwinds past the engine (e.g. a user ^C
    turned into an exit). *)
 let live_build_dirs : (string, unit) Hashtbl.t = Hashtbl.create 4
+let build_dirs_lock = Mutex.create ()
 
 let () =
-  at_exit (fun () -> Hashtbl.iter (fun dir () -> remove_tree dir) live_build_dirs)
+  at_exit (fun () ->
+      Mutex.protect build_dirs_lock (fun () ->
+          Hashtbl.iter (fun dir () -> remove_tree dir) live_build_dirs))
 
 let read_log_excerpt path =
   try
@@ -468,11 +588,11 @@ let compile_artifact ~cc ~include_dir ~subdir ~unit ~source ~artifact =
     Filename.concat subdir (Printf.sprintf "build-%s-%d" unit (Unix.getpid ()))
   in
   ensure_dir build_dir;
-  Hashtbl.replace live_build_dirs build_dir ();
+  Mutex.protect build_dirs_lock (fun () -> Hashtbl.replace live_build_dirs build_dir ());
   Fun.protect
     ~finally:(fun () ->
       remove_tree build_dir;
-      Hashtbl.remove live_build_dirs build_dir)
+      Mutex.protect build_dirs_lock (fun () -> Hashtbl.remove live_build_dirs build_dir))
     (fun () ->
       let src = Filename.concat build_dir (unit ^ ".ml") in
       let oc = open_out src in
@@ -505,6 +625,7 @@ let dynlink_factory ~tracer ~key ~cache artifact =
     ~args:[ ("key", key); ("cache", cache) ]
     "codegen.native.dynlink"
     (fun () ->
+      Mutex.protect load_lock @@ fun () ->
       ignore (Runtime.take ());
       (match Dynlink.loadfile_private artifact with
       | () -> ()
@@ -519,50 +640,73 @@ let dynlink_factory ~tracer ~key ~cache artifact =
           Error.failf Error.Runtime
             "native engine: plugin %s did not register a step function" key)
 
+let build_factory ~tracer ~cache_dir ~cc ~include_dir ~md5 (analysis : Analysis.t) =
+  let subdir = version_dir ~cache_dir ~include_dir in
+  ensure_dir subdir;
+  let unit = plugin_unit md5 in
+  let artifact = Filename.concat subdir (unit ^ artifact_ext) in
+  let key = String.sub md5 0 8 in
+  let build_once () =
+    with_file_lock (Filename.concat subdir ("." ^ md5 ^ ".lock")) (fun () ->
+        let cache = if Sys.file_exists artifact then "hit" else "miss" in
+        Tracer.span tracer
+          ~args:[ ("key", key); ("cache", cache) ]
+          "codegen.native.compile"
+          (fun () ->
+            if String.equal cache "miss" then
+              compile_artifact ~cc ~include_dir ~subdir ~unit
+                ~source:(generate_source analysis) ~artifact);
+        (cache, artifact))
+  in
+  let cache, artifact = build_once () in
+  match dynlink_factory ~tracer ~key ~cache artifact with
+  | make -> make
+  | exception Retry_compile ->
+      (* A cached artifact that does not load (corrupted file, partial write
+         from a killed process) is discarded and rebuilt once instead of
+         crashing the run. *)
+      (try Sys.remove artifact with Sys_error _ -> ());
+      let cache, artifact = build_once () in
+      dynlink_factory ~tracer ~key ~cache artifact
+
 let obtain_factory ~tracer ~cache_dir (analysis : Analysis.t) =
   let md5 = spec_md5 analysis in
-  Mutex.protect memo_lock (fun () ->
-      match Hashtbl.find_opt memo md5 with
-      | Some make -> make
-      | None ->
-          let cc = require_toolchain () in
-          let include_dir = require_include_dir () in
-          let subdir = version_dir ~cache_dir ~include_dir in
-          ensure_dir subdir;
-          let unit = plugin_unit md5 in
-          let artifact = Filename.concat subdir (unit ^ artifact_ext) in
-          let key = String.sub md5 0 8 in
-          let build_once () =
-            with_file_lock (Filename.concat subdir ("." ^ md5 ^ ".lock"))
-              (fun () ->
-                let cache = if Sys.file_exists artifact then "hit" else "miss" in
-                Tracer.span tracer
-                  ~args:[ ("key", key); ("cache", cache) ]
-                  "codegen.native.compile"
-                  (fun () ->
-                    if String.equal cache "miss" then
-                      compile_artifact ~cc ~include_dir ~subdir ~unit
-                        ~source:(generate_source analysis) ~artifact);
-                (cache, artifact))
-          in
-          let make =
-            let cache, artifact = build_once () in
-            match dynlink_factory ~tracer ~key ~cache artifact with
-            | make -> make
-            | exception Retry_compile ->
-                (* A cached artifact that does not load (corrupted file,
-                   partial write from a killed process) is discarded and
-                   rebuilt once instead of crashing the run. *)
-                (try Sys.remove artifact with Sys_error _ -> ());
-                let cache, artifact = build_once () in
-                dynlink_factory ~tracer ~key ~cache artifact
-          in
-          Hashtbl.replace memo md5 make;
-          make)
+  let rec claim () =
+    match Hashtbl.find_opt memo md5 with
+    | Some (Ready make) -> `Ready make
+    | Some Building ->
+        Condition.wait memo_changed memo_lock;
+        claim ()
+    | None ->
+        let cc = require_toolchain () in
+        let include_dir = require_include_dir () in
+        Hashtbl.replace memo md5 Building;
+        `Build (cc, include_dir)
+  in
+  match Mutex.protect memo_lock claim with
+  | `Ready make -> make
+  | `Build (cc, include_dir) ->
+      (* A failed build drops its entry, so a waiter retries on its own. *)
+      let publish entry =
+        Mutex.protect memo_lock (fun () ->
+            (match entry with
+            | Some make -> Hashtbl.replace memo md5 (Ready make)
+            | None -> Hashtbl.remove memo md5);
+            Condition.broadcast memo_changed)
+      in
+      (match build_factory ~tracer ~cache_dir ~cc ~include_dir ~md5 analysis with
+      | make ->
+          publish (Some make);
+          make
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          publish None;
+          Printexc.raise_with_backtrace e bt)
 
 let prepared (analysis : Analysis.t) =
   let md5 = spec_md5 analysis in
-  Mutex.protect memo_lock (fun () -> Hashtbl.mem memo md5)
+  Mutex.protect memo_lock (fun () ->
+      match Hashtbl.find_opt memo md5 with Some (Ready _) -> true | _ -> false)
 
 let prepare ?(tracer = Tracer.null) ?cache_dir (analysis : Analysis.t) =
   let cache_dir = match cache_dir with Some d -> d | None -> default_cache_dir () in

@@ -29,7 +29,17 @@ val artifact_path : cache_dir:string -> Asim_analysis.Analysis.t -> string
 val generate_source : Asim_analysis.Analysis.t -> string
 (** The self-contained OCaml module handed to the toolchain.  Deterministic,
     and independent of any [Machine.config]: one artifact serves every
-    tracing/I/O/fault configuration. *)
+    tracing/I/O/fault configuration.
+
+    A spec whose combinational components fit in one chunk (128, in
+    evaluation order) gets one straight-line step function that evaluates
+    every component every cycle.  A larger spec is split into chunks, each
+    a top-level function, and the step runs a chunk only when its activity
+    byte is set.  A component read by a later chunk stores only on change
+    and then sets the readers' bytes; a memory update does the same right
+    after its own update.  Every chunk starts active, a chunk's byte is
+    cleared only after it returns (a selector error re-raises on the next
+    step), and a chunk holding a fault target is pinned active. *)
 
 val clear_memory_cache : unit -> unit
 (** Drop the in-process factory memo (test hook: forces the next {!create} to
@@ -43,14 +53,16 @@ val prepare :
 (** Compile (or fetch from the artifact cache) and Dynlink the plugin for
     this spec into the in-process factory memo without building a machine,
     so a later {!create} is instant.  This is the tiered engine's background
-    half: safe to call from another domain — the memo lock serializes
-    compiles and Dynlink across domains, and the on-disk lock file keeps the
-    single-flight guarantee across processes.  Raises exactly like
-    {!create}. *)
+    half: safe to call from another domain.  Single flight is per spec:
+    concurrent requests for one spec share one build, builds of different
+    specs proceed side by side, Dynlink itself is serialized, and the
+    on-disk lock file keeps the single-flight guarantee across processes.
+    Raises exactly like {!create}. *)
 
 val prepared : Asim_analysis.Analysis.t -> bool
 (** Whether the in-process factory memo already holds this spec — i.e. a
-    {!create} would succeed without touching the toolchain or the disk. *)
+    {!create} would succeed without touching the toolchain or the disk.
+    Never waits for a build in flight. *)
 
 val create :
   ?config:Asim_sim.Machine.config ->

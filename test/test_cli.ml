@@ -304,7 +304,21 @@ let test_fuzz_replay_deterministic () =
   let code_b, b = run_cli "fuzz --seed 9 --count 3 --print-specs -q" in
   Alcotest.(check int) "first run exit" 0 code_a;
   Alcotest.(check int) "second run exit" 0 code_b;
-  Alcotest.(check string) "byte-identical replay" a b;
+  (* The summary's elapsed time is the one field that may differ: the first
+     run can pay native compiles that the second finds cached. *)
+  let mask_elapsed line =
+    (* "fuzz: N specs tested (...) in 0.3s — ..." -> "... (...) in _s — ..." *)
+    match String.rindex_opt line ')' with
+    | Some i when contains line "specs tested" -> (
+        let rest = String.sub line i (String.length line - i) in
+        match String.index_opt rest 's' with
+        | Some j -> String.sub line 0 (i + 1) ^ " in _" ^ String.sub rest j (String.length rest - j)
+        | None -> line)
+    | _ -> line
+  in
+  let without_elapsed out = List.map mask_elapsed (String.split_on_char '\n' out) in
+  Alcotest.(check (list string)) "byte-identical replay" (without_elapsed a)
+    (without_elapsed b);
   let _, single = run_cli "fuzz --seed 9 --start 2 --count 1 --print-specs -q" in
   (* Per-index seed derivation: replaying index 2 alone reprints the very
      spec the full campaign generated (modulo the differing summary line). *)

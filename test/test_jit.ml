@@ -3,8 +3,10 @@
    Covered here: cycle-level lockstep with the interpreter and the flat
    kernel on the two big demo machines, observable equality (trace text,
    I/O events, final memories, statistics, faults) through the fuzz
-   oracle, span-verified artifact-cache hits, and recovery from a
-   corrupted on-disk artifact.  Every test no-ops when no OCaml toolchain
+   oracle, chunk-activity plugins against flat on ~1k-component specs
+   (faults over quiet chunks, re-stepping after runtime errors, a tiered
+   swap), span-verified artifact-cache hits, per-spec single flight, and
+   recovery from a corrupted on-disk artifact.  Every test no-ops when no OCaml toolchain
    answers on PATH — the engine's own availability probe is the gate. *)
 
 module Machine = Asim.Machine
@@ -98,6 +100,176 @@ let test_lockstep_tinyc =
       lockstep "tinyc-demo"
         (Asim_tinyc.Machine.spec ~program:Asim_tinyc.Machine.demo_image ())
         ~cycles:800)
+
+(* ------------------------------------------------------------------ *)
+(* Multi-chunk plugins: chunk activity against the flat kernel        *)
+(* ------------------------------------------------------------------ *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Every test below is about the activity-scheduled plugin, so it first
+   checks the spec is big enough to get one. *)
+let require_chunks analysis =
+  Alcotest.(check bool) "plugin is split into chunks" true
+    (contains (Jit.generate_source analysis) "let chunk_1 ")
+
+let o2 analysis = (Asim.Opt.run_result ~level:Asim.Opt.O2 analysis).Asim.Opt.analysis
+
+(* Outcome of one step: the error text, if it raised. *)
+let step_outcome (m : Machine.t) =
+  match m.Machine.step () with
+  | () -> None
+  | exception Asim.Error.Error e -> Some (Asim.Error.to_string e)
+
+let same_state what (analysis : Asim.Analysis.t) (flat : Machine.t) (native : Machine.t) =
+  List.iter
+    (fun (c : Asim.Component.t) ->
+      let name = c.Asim.Component.name in
+      let expect = flat.Machine.read name and got = native.Machine.read name in
+      if got <> expect then
+        Alcotest.failf "%s, cycle %d: %s native=%d flat=%d" what
+          (flat.Machine.current_cycle ()) name got expect;
+      match c.Asim.Component.kind with
+      | Asim.Component.Memory { cells; _ } ->
+          for i = 0 to cells - 1 do
+            if native.Machine.read_cell name i <> flat.Machine.read_cell name i then
+              Alcotest.failf "%s: cell %s[%d] differs" what name i
+          done
+      | _ -> ())
+    analysis.Asim.Analysis.spec.Asim.Spec.components;
+  Alcotest.(check int) (what ^ ": cycle") (flat.Machine.current_cycle ())
+    (native.Machine.current_cycle ())
+
+(* Step flat and native together, comparing every slot and cell after
+   every step (errors included) and the trace text at the end.  Returns how
+   many steps raised. *)
+let lockstep_flat ?(faults = []) what analysis ~cycles =
+  let run_config () =
+    let buf = Buffer.create 1024 in
+    ({ quiet with Machine.trace = Asim.Trace.buffer_sink buf; faults }, buf)
+  in
+  let fc, fbuf = run_config () and nc, nbuf = run_config () in
+  let flat = Asim.Flat.create ~config:fc analysis in
+  let native = Jit.create ~config:nc ~cache_dir analysis in
+  let errors = ref 0 in
+  for _ = 1 to cycles do
+    let f = step_outcome flat and n = step_outcome native in
+    Alcotest.(check (option string)) (what ^ ": step outcome") f n;
+    if f <> None then incr errors;
+    same_state what analysis flat native
+  done;
+  Alcotest.(check string) (what ^ ": trace") (Buffer.contents fbuf) (Buffer.contents nbuf);
+  !errors
+
+let mesh_1k () = Asim.Analysis.analyze (Asim_fuzz.Gen.mesh ~width:31 ~height:32 ~seed:3 ())
+let pipeline_1k () = Asim.Analysis.analyze (Asim_fuzz.Gen.pipeline ~cores:10 ~depth:99 ~seed:3 ())
+
+(* [n] chained increments off [head] (by default a constant, so the chain
+   settles after the first cycle) latched into a traced register, plus
+   [extra] component lines. *)
+let chain_spec ?(head = "1") ?(names = []) ?(extra = []) n =
+  let b = Buffer.create 8192 in
+  Buffer.add_string b "#chain\n= 100\nr*";
+  List.iter (Printf.bprintf b " %s") names;
+  for i = 0 to n - 1 do
+    Printf.bprintf b " c%d" i
+  done;
+  Printf.bprintf b " .\nA c0 4 %s 1\n" head;
+  for i = 1 to n - 1 do
+    Printf.bprintf b "A c%d 4 c%d 1\n" i (i - 1)
+  done;
+  List.iter (Printf.bprintf b "%s\n") extra;
+  Printf.bprintf b "M r 0 c%d 1 1\n.\n" (n - 1);
+  Asim.load_string (Buffer.contents b)
+
+(* The generated designs settle quickly, and most chunks read a register;
+   the counting chain changes every cycle and only its first chunk reads the
+   counter, so each later chunk runs only when the one before marks it. *)
+let test_chunked_lockstep =
+  if_toolchain (fun () ->
+      List.iter
+        (fun (what, analysis) ->
+          require_chunks analysis;
+          Alcotest.(check int) (what ^ ": no errors") 0 (lockstep_flat what analysis ~cycles:300))
+        [
+          ("mesh-1k", mesh_1k ());
+          ("mesh-1k -O2", o2 (mesh_1k ()));
+          ("pipeline-1k", pipeline_1k ());
+          ("pipeline-1k -O2", o2 (pipeline_1k ()));
+          ( "counting chain",
+            chain_spec 400 ~head:"cnt" ~names:[ "cnt"; "inc" ]
+              ~extra:[ "A inc 4 cnt 1"; "M cnt 0 inc 1 1" ] );
+        ])
+
+(* The pinned-chunk case: the chain is quiet long before the stuck-at
+   window opens, so only pinning the target's chunk active makes the fault
+   fire.  Then a late fault on a live mesh. *)
+let test_chunked_late_fault =
+  if_toolchain (fun () ->
+      let chain = chain_spec 400 in
+      require_chunks chain;
+      ignore
+        (lockstep_flat "quiet chain, late stuck-at" chain ~cycles:80
+           ~faults:[ Asim.Fault.stuck_at ~first_cycle:40 ~last_cycle:60 "c395" 0 ]);
+      ignore
+        (lockstep_flat "mesh-1k, late stuck-at" (mesh_1k ()) ~cycles:200
+           ~faults:[ Asim.Fault.stuck_at ~first_cycle:150 "n20x17" 5 ]))
+
+(* Runtime errors inside a chunk and partway through the memory phase:
+   stepping again must re-raise and leave exactly flat's state. *)
+let test_chunked_error_restep =
+  if_toolchain (fun () ->
+      (* [sel] depends on the chain's end, so it sits in the last chunk;
+         its select runs off the counter and leaves range at cnt = 2. *)
+      let sel =
+        chain_spec 300 ~names:[ "cnt"; "inc"; "sel" ]
+          ~extra:[ "A inc 4 cnt 1"; "S sel cnt.0.1 c299 c299"; "M cnt 0 inc 1 1" ]
+      in
+      require_chunks sel;
+      Alcotest.(check int) "selector error: raising steps" 6
+        (lockstep_flat "selector error" sel ~cycles:8);
+      (* [cnt] updates first and wakes [inc] and [w] (last chunk); [bad]
+         then faults on its address for cnt = 4..7, so each re-step runs
+         on the marks [cnt] made before the error. *)
+      let mem =
+        chain_spec 300 ~names:[ "cnt"; "inc"; "w"; "bad" ]
+          ~extra:[ "A inc 4 cnt 1"; "A w 4 c299 cnt"; "M cnt 0 inc 1 1"; "M bad cnt.0.2 w 1 4" ]
+      in
+      require_chunks mem;
+      Alcotest.(check int) "address error: raising steps" 4
+        (lockstep_flat "mid-phase address error" mem ~cycles:12))
+
+(* The tiered engine adopts flat's live state into a multi-chunk plugin:
+   every chunk starts active, so the handoff is invisible. *)
+let test_chunked_tiered_swap =
+  if_toolchain (fun () ->
+      let analysis = mesh_1k () in
+      require_chunks analysis;
+      let run build =
+        let buf = Buffer.create 4096 in
+        let m : Machine.t =
+          build { quiet with Machine.trace = Asim.Trace.buffer_sink buf } analysis
+        in
+        Machine.run m ~cycles:200;
+        (Buffer.contents buf, m)
+      in
+      let flat_trace, flat = run (fun config a -> Asim.Flat.create ~config a) in
+      let status = ref (fun () -> assert false) in
+      let tiered_trace, tiered =
+        run (fun config a ->
+            let m, st =
+              Asim.Tiered.create_status ~config ~cache_dir ~swap_at:(Asim.Tiered.At 100) a
+            in
+            status := st;
+            m)
+      in
+      Alcotest.(check string) "swapped at 100" "swapped"
+        (Asim.Tiered.swap_state_to_string (!status ()).Asim.Tiered.state);
+      Alcotest.(check string) "trace identical" flat_trace tiered_trace;
+      same_state "after swap" analysis flat tiered)
 
 (* ------------------------------------------------------------------ *)
 (* Full observable equality through the oracle                        *)
@@ -246,6 +418,48 @@ let test_corrupted_artifact_recompiles =
             close_in ic;
             n > String.length "not a plugin")))
 
+(* Single flight is per spec: while one domain compiles spec A, a spec B
+   that is already Dynlinked stays available to every other domain. *)
+let prepared_spec = "#ready\n= 6\nr* n .\nA n 4 r 7\nM r 0 n 1 1\n.\n"
+
+let test_prepared_during_compile =
+  if_toolchain (fun () ->
+      let b = Asim.load_string prepared_spec in
+      Jit.prepare ~cache_dir b;
+      let a = Asim.Analysis.analyze (Asim_fuzz.Gen.mesh ~width:31 ~height:32 ~seed:11 ()) in
+      let artifact = Jit.artifact_path ~cache_dir a in
+      if Sys.file_exists artifact then Sys.remove artifact;
+      (* A's build directory exists exactly while its compile is in flight. *)
+      let build_prefix = "build-" ^ Filename.remove_extension (Filename.basename artifact) in
+      let compiling () =
+        try
+          Array.exists
+            (String.starts_with ~prefix:build_prefix)
+            (Sys.readdir (Filename.dirname artifact))
+        with Sys_error _ -> false
+      in
+      let a_done = Atomic.make false in
+      let d =
+        Domain.spawn (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Atomic.set a_done true)
+              (fun () -> Jit.prepare ~cache_dir a))
+      in
+      let deadline = Unix.gettimeofday () +. 120.0 in
+      while (not (compiling ())) && (not (Atomic.get a_done)) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      let in_flight = compiling () in
+      let b_ready = Jit.prepared b in
+      let m = Jit.create ~config:quiet ~cache_dir b in
+      Machine.run m ~cycles:3;
+      let a_still_compiling = not (Atomic.get a_done) in
+      Domain.join d;
+      Alcotest.(check bool) "A's compile was observed in flight" true in_flight;
+      Alcotest.(check bool) "B reported prepared" true b_ready;
+      Alcotest.(check bool) "B answered before A's compile finished" true a_still_compiling;
+      Alcotest.(check bool) "A prepared afterwards" true (Jit.prepared a))
+
 (* The generated source is deterministic: the cache key (canonical form)
    and the cached artifact stay honest across runs. *)
 let test_generated_source_deterministic =
@@ -262,6 +476,14 @@ let () =
         [
           Alcotest.test_case "stackm-sieve vs interp+flat" `Slow test_lockstep_sieve;
           Alcotest.test_case "tinyc-demo vs interp+flat" `Slow test_lockstep_tinyc;
+        ] );
+      ( "chunk activity",
+        [
+          Alcotest.test_case "1k mesh, pipeline and counting chain vs flat" `Slow test_chunked_lockstep;
+          Alcotest.test_case "fault window over quiet chunks" `Slow test_chunked_late_fault;
+          Alcotest.test_case "re-step after selector and address errors" `Slow
+            test_chunked_error_restep;
+          Alcotest.test_case "forced tiered swap" `Slow test_chunked_tiered_swap;
         ] );
       ( "observables",
         [
@@ -280,5 +502,7 @@ let () =
             test_corrupted_artifact_recompiles;
           Alcotest.test_case "generated source is deterministic" `Quick
             test_generated_source_deterministic;
+          Alcotest.test_case "prepared answers during another spec's compile" `Slow
+            test_prepared_during_compile;
         ] );
     ]
