@@ -162,6 +162,16 @@ let memory_output_used t name =
       write_trace_condition m <> Trace_never || read_trace_condition m <> Trace_never
   | Some _ | None -> false
 
+let temp_elidable t name =
+  (not (memory_output_used t name))
+  &&
+  match Spec.find t.spec name with
+  | Some { Component.kind = Component.Memory m; _ } -> (
+      match Lower.memory_const_op m with
+      | Some op -> op land 3 <= 1 (* read or write; no I/O side effects *)
+      | None -> false)
+  | Some _ | None -> false
+
 let memory_io_possible (m : Component.memory) =
   match Expr.const_value m.op with
   | Some v -> v land 3 >= 2

@@ -63,6 +63,12 @@ val memory_output_used : t -> string -> bool
     determine which memories do not need temporary variables in which to
     store results". *)
 
+val temp_elidable : t -> string -> bool
+(** §5.4's heuristic: the memory's temporary can be omitted from generated
+    code when (a) its registered output is never read (not referenced, not
+    traced, no trace lines) and (b) its operation is a constant read or
+    write (no I/O side channel needs the value). *)
+
 val memory_io_possible : Component.memory -> bool
 (** False when the operation can never select input or output — a constant
     with [land 3 < 2], or an expression too narrow to carry bit 1.

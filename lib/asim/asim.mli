@@ -83,8 +83,8 @@ val machine :
     middle-end, i.e. [O0]) — every engine consumes the rewritten spec;
     fault-plan targets from [config] are kept verbatim.  [opt_costs] feeds
     the scheduler's cost model.  [optimize] applies to the [Compiled]
-    engine's own §4.4 closure optimizations only (the deprecated
-    [?peephole]-era knob); [schedule] and [tracer] to [FlatKernel] only;
+    engine's own §4.4 closure optimizations only; [schedule] and [tracer]
+    to [FlatKernel] only;
     [domains] and [par_costs] (a measured per-component cost model for the
     partitioner) to [Partitioned] only.  [prof] attaches an {!Prof} profile
     to any engine except [Native] (whose generated plugin carries no

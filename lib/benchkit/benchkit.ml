@@ -24,7 +24,6 @@ type workload = {
   cycles : int;
   components : int;
   flat_words : int;
-  flat_words_raw : int;
   flat_skip_rate : float;
   agreement : string option;
   tiered_swap : string;
@@ -313,7 +312,6 @@ let run_workload ~reps ~cycles ~check_cycles ~jit_cache_dir ~name
   in
   let engines = base @ (tiered :: warm) in
   let flat_words = Asim_flat.Flat.program_size analysis in
-  let flat_words_raw = Asim_flat.Flat.program_size ~peephole:false analysis in
   let flat_skip_rate =
     let m, counts =
       Asim_flat.Flat.create_debug ~config:Asim.Machine.quiet_config analysis
@@ -333,7 +331,6 @@ let run_workload ~reps ~cycles ~check_cycles ~jit_cache_dir ~name
     cycles;
     components = List.length spec.Asim.Spec.components;
     flat_words;
-    flat_words_raw;
     flat_skip_rate;
     agreement;
     tiered_swap;
@@ -684,8 +681,8 @@ let table t =
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   List.iter
     (fun w ->
-      pr "workload %s: %d cycles, %d components, flat program %d words (%d before peephole)\n"
-        w.name w.cycles w.components w.flat_words w.flat_words_raw;
+      pr "workload %s: %d cycles, %d components, flat program %d words\n"
+        w.name w.cycles w.components w.flat_words;
       pr "  %-10s %12s %12s %12s %10s %10s\n" "engine" "build (s)" "wall (s)"
         "ns/cycle" "vs interp" "incl prep";
       List.iter
@@ -854,7 +851,6 @@ let workload_json w =
       ("cycles", Json.Int w.cycles);
       ("components", Json.Int w.components);
       ("flat_program_words", Json.Int w.flat_words);
-      ("flat_program_words_raw", Json.Int w.flat_words_raw);
       ("engines", Json.List (List.map (engine_json w) w.engines));
       r "interp_vs_compiled" "interp" "compiled";
       r "interp_vs_flat" "interp" "flat";

@@ -57,7 +57,6 @@ type workload = {
   cycles : int;
   components : int;
   flat_words : int;  (** flat-program size in instruction words *)
-  flat_words_raw : int;  (** same, with the peephole pass disabled *)
   flat_skip_rate : float;
       (** fraction of combinational evaluations the activity scheduler
           skipped over the run, in [0, 1] *)

@@ -52,67 +52,34 @@ let emit e v =
   e.buf.(e.len) <- v;
   e.len <- e.len + 1
 
-(* --- expression flattening ---------------------------------------------- *)
+(* --- expressions --------------------------------------------------------- *)
 
 let component_id ids name =
   match Hashtbl.find_opt ids name with
   | Some id -> id
   | None -> Error.failf Error.Analysis "Component <%s> not found." name
 
-(* One reference atom, placed with its least-significant bit at the shift.
-   [t_mask = -1] encodes a whole-word reference (no masking); a negative
-   [t_shift] means shift right by [-t_shift]. *)
+(* One lowered field with its name resolved to a state slot.  [t_mask = -1]
+   encodes a whole-word reference (no masking); a negative [t_shift] means
+   shift right by [-t_shift]. *)
 type term = { t_src : int; t_mask : int; t_shift : int }
 
-(* Mirror of [Asim_compile.compile_atom]'s width accounting: the constant
-   part folds into one int, every reference becomes a (src, mask, shift)
-   term; the expression value is [const + sum of terms]. *)
-let flatten ids (expr : Expr.t) =
-  let const = ref 0 and terms = ref [] in
-  let place numbits atom =
-    match atom with
-    | Expr.Const { number; width } -> (
-        let v = Number.value number in
-        match width with
-        | None ->
-            const := !const + (v lsl numbits);
-            Bits.word_bits
-        | Some w ->
-            let w = Number.value w in
-            const := !const + ((v land Bits.ones w) lsl numbits);
-            numbits + w)
-    | Expr.Bitstring s ->
-        let v =
-          String.fold_left (fun acc c -> (acc * 2) + if c = '1' then 1 else 0) 0 s
-        in
-        const := !const + (v lsl numbits);
-        numbits + String.length s
-    | Expr.Ref { name; field } -> (
-        let src = component_id ids name in
-        match field with
-        | Expr.Whole ->
-            terms := { t_src = src; t_mask = -1; t_shift = numbits } :: !terms;
-            Bits.word_bits
-        | Expr.Bit fnum ->
-            let lo = Number.value fnum in
-            let mask = Bits.field_mask ~lo ~hi:lo in
-            terms := { t_src = src; t_mask = mask; t_shift = numbits - lo } :: !terms;
-            numbits + 1
-        | Expr.Range (fnum, tnum) ->
-            let lo = Number.value fnum and hi = Number.value tnum in
-            let mask = Bits.field_mask ~lo ~hi in
-            terms := { t_src = src; t_mask = mask; t_shift = numbits - lo } :: !terms;
-            numbits + (hi - lo + 1))
-  in
-  let rec go numbits = function
-    | [] -> ()
-    | atom :: rest -> go (place numbits atom) rest
-  in
-  go 0 (List.rev expr);
-  (!const, List.rev !terms)
+(* The expression value is [const + sum of terms].  Consing over
+   [Lower.lower]'s most-significant-first fields leaves the terms least
+   significant first, the order the kernel sums them in. *)
+let resolve ids (expr : Expr.t) =
+  List.fold_left
+    (fun (const, terms) -> function
+      | Lower.Const c -> (const + c, terms)
+      | Lower.Whole { name; at } ->
+          (const, { t_src = component_id ids name; t_mask = -1; t_shift = at } :: terms)
+      | Lower.Field { name; lo; hi; at } ->
+          let t_src = component_id ids name in
+          (const, { t_src; t_mask = Bits.field_mask ~lo ~hi; t_shift = at - lo } :: terms))
+    (0, []) (Lower.lower expr)
 
-(* Peephole: fuse adjacent term loads of the same source with the same
-   placement shift and disjoint masks into one masked load.  The classic
+(* Emit-time rewrite: fuse adjacent term loads of the same source with the
+   same placement shift and disjoint masks into one masked load.  The classic
    producer is a concatenation reassembling neighboring fields of one
    register ([x<7:4> & x<3:0>]): both atoms land at the same shift with
    disjoint masks, so [(v land m1) <<s + (v land m2) <<s] equals
@@ -120,7 +87,8 @@ let flatten ids (expr : Expr.t) =
    parts is their union, and for a right shift because disjointness survives
    the shift, so no carries and no truncated cross-talk in either direction.
    Whole-word references (mask -1) never fuse: their implicit mask is not
-   disjoint from anything. *)
+   disjoint from anything.  The optimizer leaves traced and kept components
+   verbatim, so this still fires at -O2. *)
 let fuse_terms terms =
   let rec go = function
     | ({ t_src = s1; t_mask = m1; t_shift = sh1 } as a)
@@ -132,11 +100,10 @@ let fuse_terms terms =
   in
   go terms
 
-(* Emit a flattened expression; the block leaves its value in [acc].  Every
+(* Emit a resolved expression; the block leaves its value in [acc].  Every
    referenced slot is appended to [refs] (the dependency edges the activity
    scheduler wires up). *)
-let emit_flat ?(peephole = true) e refs (const, terms) =
-  let terms = if peephole then fuse_terms terms else terms in
+let emit_resolved e refs (const, terms) =
   emit e op_const;
   emit e const;
   List.iter
@@ -164,43 +131,42 @@ let emit_flat ?(peephole = true) e refs (const, terms) =
         emit e t_src;
         emit e t_mask;
         emit e (-t_shift)))
-    terms
+    (fuse_terms terms)
 
-let emit_expr ?peephole e ids refs expr =
-  emit_flat ?peephole e refs (flatten ids expr)
+let emit_expr e ids refs expr = emit_resolved e refs (resolve ids expr)
 
 (* --- component blocks --------------------------------------------------- *)
 
-let emit_alu ?peephole e ids refs ({ fn; left; right } : Component.alu) =
-  (* Both operands are flattened unconditionally so missing-name errors
+let emit_alu e ids refs (alu : Component.alu) =
+  (* Both operands are resolved unconditionally so missing-name errors
      surface at compile time exactly as in [Asim_compile]; only the
      operands an ALU function actually consumes are emitted (and hence
      scheduled on). *)
-  let fl = flatten ids left and fr = flatten ids right in
-  let use flat = emit_flat ?peephole e refs flat in
+  let rl = resolve ids alu.left and rr = resolve ids alu.right in
+  let use resolved = emit_resolved e refs resolved in
   let binary op =
-    use fl;
+    use rl;
     emit e op_save;
-    use fr;
+    use rr;
     emit e op;
     emit e op_ret
   in
-  match flatten ids fn with
-  | code, [] -> (
+  match Lower.alu_const_function alu with
+  | Some fn -> (
       (* §4.4: constant function — specialize the operation inline. *)
-      match Component.alu_function_of_code code with
+      match fn with
       | Component.Fn_zero | Component.Fn_unused ->
           emit e op_const;
           emit e 0;
           emit e op_ret
       | Component.Fn_right ->
-          use fr;
+          use rr;
           emit e op_ret
       | Component.Fn_left ->
-          use fl;
+          use rl;
           emit e op_ret
       | Component.Fn_not ->
-          use fl;
+          use rl;
           emit e op_not;
           emit e op_ret
       | Component.Fn_add -> binary op_add
@@ -212,32 +178,26 @@ let emit_alu ?peephole e ids refs ({ fn; left; right } : Component.alu) =
       | Component.Fn_xor -> binary op_xor
       | Component.Fn_eq -> binary op_eq
       | Component.Fn_lt -> binary op_lt)
-  | flat_fn ->
-      emit_flat e refs flat_fn;
+  | None ->
+      emit_expr e ids refs alu.fn;
       emit e op_save2;
-      use fl;
+      use rl;
       emit e op_save;
-      use fr;
+      use rr;
       emit e op_dyn;
       emit e op_ret
 
-let emit_selector ?(peephole = true) e ids refs comp_id
-    ({ select; cases } : Component.selector) =
-  let const_select =
-    match flatten ids select with
-    | c, [] when peephole -> Some c
-    | _ -> None
-  in
-  match const_select with
-  | Some c when c >= 0 && c < Array.length cases ->
-      (* Peephole: the control input is a compile-time constant in range, so
-         the dispatch (and every dead case block) folds away.  An
+let emit_selector e ids refs comp_id ({ select; cases } : Component.selector) =
+  match Lower.lower select with
+  | [ Lower.Const c ] when c >= 0 && c < Array.length cases ->
+      (* Emit-time rewrite: the control input is a compile-time constant in
+         range, so the dispatch (and every dead case block) folds away.  An
          out-of-range constant keeps the op_sel so the runtime range error
          still raises every cycle. *)
-      emit_expr ~peephole e ids refs cases.(c);
+      emit_expr e ids refs cases.(c);
       emit e op_ret
   | _ ->
-      emit_expr ~peephole e ids refs select;
+      emit_expr e ids refs select;
       emit e op_sel;
       emit e comp_id;
       let n = Array.length cases in
@@ -249,7 +209,7 @@ let emit_selector ?(peephole = true) e ids refs comp_id
       Array.iteri
         (fun i case ->
           e.buf.(slots + i) <- e.len;
-          emit_expr ~peephole e ids refs case;
+          emit_expr e ids refs case;
           emit e op_ret)
         cases
 
@@ -281,7 +241,7 @@ type program = {
   p_dep_len : int array;  (** by producer slot *)
 }
 
-let compile ?peephole ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
+let compile ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
     (analysis : Asim_analysis.Analysis.t) =
   let spec = analysis.Asim_analysis.Analysis.spec in
   let components = spec.Spec.components in
@@ -327,8 +287,8 @@ let compile ?peephole ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
       comb_id.(pos) <- id;
       let refs = ref [] in
       (match c.kind with
-      | Component.Alu alu -> emit_alu ?peephole e ids refs alu
-      | Component.Selector sel -> emit_selector ?peephole e ids refs id sel
+      | Component.Alu alu -> emit_alu e ids refs alu
+      | Component.Selector sel -> emit_selector e ids refs id sel
       | Component.Memory _ -> assert false);
       List.sort_uniq compare !refs
       |> List.iter (fun src -> dependents.(src) <- pos :: dependents.(src)))
@@ -343,13 +303,13 @@ let compile ?peephole ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
            match c.kind with
            | Component.Memory m ->
                let addr_pc = e.len in
-               emit_expr ?peephole e ids sink m.addr;
+               emit_expr e ids sink m.addr;
                emit e op_ret;
                let op_pc = e.len in
-               emit_expr ?peephole e ids sink m.op;
+               emit_expr e ids sink m.op;
                emit e op_ret;
                let data_pc = e.len in
-               emit_expr ?peephole e ids sink m.data;
+               emit_expr e ids sink m.data;
                emit e op_ret;
                let d =
                  {
@@ -395,8 +355,7 @@ let compile ?peephole ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
     p_dep_len = dep_len;
   }
 
-let program_size ?peephole analysis =
-  Array.length (compile ?peephole analysis).p_code
+let program_size analysis = Array.length (compile analysis).p_code
 
 (* --- the evaluator ------------------------------------------------------ *)
 
@@ -461,7 +420,7 @@ let make_exec (p : program) ~(vals : int array) ~(cycle : int ref) =
 type state = { s_vals : int array; s_cells : int array }
 
 let create_full ?(config = Machine.default_config) ?(schedule = Activity)
-    ?(tracer = Asim_obs.Tracer.null) ?peephole ?prof
+    ?(tracer = Asim_obs.Tracer.null) ?prof
     (analysis : Asim_analysis.Analysis.t) =
   let module Prof = Asim_prof.Prof in
   let module T = Asim_obs.Tracer in
@@ -469,7 +428,7 @@ let create_full ?(config = Machine.default_config) ?(schedule = Activity)
     T.span tracer
       ~args:[ ("schedule", schedule_to_string schedule) ]
       "codegen.flat.emit"
-      (fun () -> compile ?peephole ~tracer analysis)
+      (fun () -> compile ~tracer analysis)
   in
   let code = p.p_code in
   let names = p.p_names in
@@ -890,20 +849,20 @@ let create_full ?(config = Machine.default_config) ?(schedule = Activity)
   in
   (machine, counts, { s_vals = vals; s_cells = cells })
 
-let create_debug ?config ?schedule ?tracer ?peephole ?prof analysis =
+let create_debug ?config ?schedule ?tracer ?prof analysis =
   let machine, counts, _ =
-    create_full ?config ?schedule ?tracer ?peephole ?prof analysis
+    create_full ?config ?schedule ?tracer ?prof analysis
   in
   (machine, counts)
 
-let create_exposed ?config ?schedule ?tracer ?peephole ?prof analysis =
+let create_exposed ?config ?schedule ?tracer ?prof analysis =
   let machine, _, state =
-    create_full ?config ?schedule ?tracer ?peephole ?prof analysis
+    create_full ?config ?schedule ?tracer ?prof analysis
   in
   (machine, state)
 
-let create ?config ?schedule ?tracer ?peephole ?prof analysis =
+let create ?config ?schedule ?tracer ?prof analysis =
   let machine, _, _ =
-    create_full ?config ?schedule ?tracer ?peephole ?prof analysis
+    create_full ?config ?schedule ?tracer ?prof analysis
   in
   machine

@@ -41,7 +41,6 @@ val create :
   ?config:Asim_sim.Machine.config ->
   ?schedule:schedule ->
   ?tracer:Asim_obs.Tracer.t ->
-  ?peephole:bool ->
   ?prof:Asim_prof.Prof.t ->
   Asim_analysis.Analysis.t ->
   Asim_sim.Machine.t
@@ -49,13 +48,16 @@ val create :
     machine.  When [tracer] is active, compilation emits
     [codegen.flat.layout], [codegen.flat.emit] and [codegen.flat.wire]
     spans, so flat-compile time shows up next to the [pipeline.*] spans in
-    a {{!Asim_obs.Tracer}Chrome trace}.  [peephole] (default [true])
-    controls the emit-time peephole pass: constant selectors are folded to
-    their live case and adjacent disjoint mask/shift loads of the same slot
-    are fused into one term.  [peephole] is a deprecated alias kept for
-    ablation: the [Asim_opt] middle-end's [Fuse] pass performs the same
-    rewrites (and more) spec-side before any backend runs, so under [-O1]
-    and above the emit-time pass usually finds nothing left to fold.
+    a {{!Asim_obs.Tracer}Chrome trace}.
+
+    Expressions are emitted from {!Asim_core.Lower.lower} with two
+    rewrites, always on: a selector whose control input is an in-range
+    constant is folded to its live case, and adjacent disjoint mask/shift
+    loads of the same slot are fused into one term.  The [Asim_opt]
+    middle-end's [Fuse] pass does not make them redundant, because the
+    optimizer leaves traced and kept components verbatim: at [-O2],
+    dropping the rewrites grows the flat program of 191 of 200 generated
+    serve-mix specs (median 1.26×, at most 2.11×).
 
     [prof] attaches an {!Asim_prof.Prof} profile: evaluation and fault
     counters tick in the kernel's hot loops (one preallocated-array
@@ -69,7 +71,6 @@ val create_debug :
   ?config:Asim_sim.Machine.config ->
   ?schedule:schedule ->
   ?tracer:Asim_obs.Tracer.t ->
-  ?peephole:bool ->
   ?prof:Asim_prof.Prof.t ->
   Asim_analysis.Analysis.t ->
   Asim_sim.Machine.t * (unit -> (string * int) list)
@@ -92,7 +93,6 @@ val create_exposed :
   ?config:Asim_sim.Machine.config ->
   ?schedule:schedule ->
   ?tracer:Asim_obs.Tracer.t ->
-  ?peephole:bool ->
   ?prof:Asim_prof.Prof.t ->
   Asim_analysis.Analysis.t ->
   Asim_sim.Machine.t * state
@@ -144,7 +144,6 @@ type program = {
 }
 
 val compile :
-  ?peephole:bool ->
   ?tracer:Asim_obs.Tracer.t ->
   ?slots:(string, int) Hashtbl.t ->
   ?comb_order:Asim_core.Component.t list ->
@@ -167,10 +166,9 @@ val make_exec :
     Allocation-free; distinct instances over distinct [vals] arrays may run
     in parallel (the program itself is only read). *)
 
-val program_size : ?peephole:bool -> Asim_analysis.Analysis.t -> int
+val program_size : Asim_analysis.Analysis.t -> int
 (** Number of instruction words the flat program for this spec occupies —
-    a compile-time metric (reported by benchmarks, no machine built).
-    Pass [~peephole:false] for the pre-peephole size; the benchmark harness
-    reports both so the pass's effect is visible.  For spec-level
-    optimization effects, run the analysis through [Asim_opt.Opt.run]
-    first — the opt-ablation benchmark measures program size that way. *)
+    a compile-time metric (reported by benchmarks, no machine built).  For
+    spec-level optimization effects, run the analysis through
+    [Asim_opt.Opt.run] first — the opt-ablation benchmark measures program
+    size that way. *)

@@ -1,6 +1,5 @@
 open Asim_core
 open Asim_sim
-module Lower = Asim_codegen.Lower
 
 (* One lowered term, with the component name resolved to a value slot.  A
    [mask] of 0 with [whole = true] means "no masking" (a filling reference);
@@ -38,18 +37,19 @@ type state = {
 }
 
 let compile_expr ids e : prog =
+  let slot name =
+    match Hashtbl.find_opt ids name with
+    | Some id -> id
+    | None -> Error.failf Error.Analysis "Component <%s> not found." name
+  in
   Lower.lower e
   |> List.map (function
        | Lower.Const c -> Tconst c
-       | Lower.Field { name; mask; shift } -> (
-           let id =
-             match Hashtbl.find_opt ids name with
-             | Some id -> id
-             | None -> Error.failf Error.Analysis "Component <%s> not found." name
-           in
-           match mask with
-           | None -> Tfield { id; mask = 0; whole = true; shift }
-           | Some m -> Tfield { id; mask = m; whole = false; shift }))
+       | Lower.Whole { name; at } ->
+           Tfield { id = slot name; mask = 0; whole = true; shift = at }
+       | Lower.Field { name; lo; hi; at } ->
+           let mask = Bits.field_mask ~lo ~hi in
+           Tfield { id = slot name; mask; whole = false; shift = at - lo })
   |> Array.of_list
 
 let eval st (p : prog) =

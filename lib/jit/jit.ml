@@ -2,7 +2,7 @@
    host-language program, hand it to the host compiler, run machine code).
 
    The analyzed spec is lowered through the same IR the source backends print
-   ([Asim_codegen.Lower]) into one self-contained OCaml module over the flat
+   ([Asim_core.Lower]) into one self-contained OCaml module over the flat
    [int array] state layout, compiled out of process with the host toolchain
    (`ocamlfind ocamlopt -shared` -> .cmxs; `ocamlc -c` -> .cmo under
    bytecode), and Dynlinked into this process.  The generated code depends
@@ -19,7 +19,6 @@
 open Asim_core
 open Asim_sim
 module Analysis = Asim_analysis.Analysis
-module Lower = Asim_codegen.Lower
 module Emitter = Asim_codegen.Emitter
 module Tracer = Asim_obs.Tracer
 module Runtime = Asim_jit_runtime
@@ -203,18 +202,18 @@ let slot ids name =
 
 let int_lit n = if n < 0 then Printf.sprintf "(%d)" n else string_of_int n
 
-let render_term ids = function
+let render_term ids term =
+  let value name = Printf.sprintf "(Array.unsafe_get vals %d)" (slot ids name) in
+  let shifted v shift =
+    if shift > 0 then Printf.sprintf "(%s lsl %d)" v shift
+    else if shift < 0 then Printf.sprintf "(%s lsr %d)" v (-shift)
+    else v
+  in
+  match term with
   | Lower.Const c -> int_lit c
-  | Lower.Field { name; mask; shift } ->
-      let base = Printf.sprintf "(Array.unsafe_get vals %d)" (slot ids name) in
-      let masked =
-        match mask with
-        | None -> base
-        | Some m -> Printf.sprintf "(%s land %d)" base m
-      in
-      if shift > 0 then Printf.sprintf "(%s lsl %d)" masked shift
-      else if shift < 0 then Printf.sprintf "(%s lsr %d)" masked (-shift)
-      else masked
+  | Lower.Whole { name; at } -> shifted (value name) at
+  | Lower.Field { name; lo; hi; at } ->
+      shifted (Printf.sprintf "(%s land %d)" (value name) (Bits.field_mask ~lo ~hi)) (at - lo)
 
 let render_expr ids e =
   match Lower.lower e with

@@ -187,30 +187,15 @@ let field_bounds = function
       Some (f, f)
   | Expr.Range (f, t) -> Some (Number.value f, Number.value t)
 
-(* Expression -> node, tracking the running bit position exactly as
-   [Expr.atom_contribution] does (filling atoms jump it to the word). *)
-let node_of_expr b ~use atoms =
-  let contribution numbits = function
-    | Expr.Const { number; width = None } ->
-        (cst b (Number.value number lsl numbits), Bits.word_bits)
-    | Expr.Const { number; width = Some w } ->
-        let w = Number.value w in
-        (cst b ((Number.value number land Bits.ones w) lsl numbits), numbits + w)
-    | Expr.Bitstring s ->
-        (cst b (bitstring_value s lsl numbits), numbits + String.length s)
-    | Expr.Ref { name; field } -> (
-        match field_bounds field with
-        | None -> (shl b (use name) numbits, Bits.word_bits)
-        | Some (lo, hi) ->
-            (shl b (ext b (use name) lo hi) numbits, numbits + (hi - lo + 1)))
-  in
-  let rec go acc numbits = function
-    | [] -> sum b acc
-    | atom :: rest ->
-        let v, numbits = contribution numbits atom in
-        go (v :: acc) numbits rest
-  in
-  go [] 0 (List.rev atoms)
+(* Expression -> node, from the lowering's placed fields.  Fields are built
+   least significant first, the order the atoms are laid out in. *)
+let node_of_expr b ~use e =
+  List.rev (Lower.lower e)
+  |> List.map (function
+       | Lower.Const c -> cst b c
+       | Lower.Whole { name; at } -> shl b (use name) at
+       | Lower.Field { name; lo; hi; at } -> shl b (ext b (use name) lo hi) at)
+  |> sum b
 
 (* ------------------------------------------------------------------ *)
 (* Width facts.  [Width.infer] is sound — value in [0, 2^w) whenever the
@@ -270,47 +255,32 @@ let make_bounded_width (spec : Spec.t) tainted =
 
 (* A sound upper bound on an expression's value under the current width
    facts; [None] when no bound is provable (the value may even be
-   negative).  Mirrors the evaluator's placement arithmetic. *)
-let expr_ubound ~bw atoms =
+   negative). *)
+let expr_ubound ~bw e =
   let clamp = function
     | Some v when v >= 0 && v <= Bits.mask -> Some v
     | _ -> None
   in
-  let contribution numbits = function
-    | Expr.Const { number; width = None } ->
-        let v = Number.value number in
-        ((if v >= 0 then Some (v lsl numbits) else None), Bits.word_bits)
-    | Expr.Const { number; width = Some w } ->
-        let w = Number.value w in
-        (Some ((Number.value number land Bits.ones w) lsl numbits), numbits + w)
-    | Expr.Bitstring s ->
-        (Some (bitstring_value s lsl numbits), numbits + String.length s)
-    | Expr.Ref { name; field } -> (
-        match field_bounds field with
-        | None ->
-            ( (match bw name with
-              | Some w -> Some (Bits.ones w lsl numbits)
-              | None -> None),
-              Bits.word_bits )
-        | Some (lo, hi) ->
-            let fw = hi - lo + 1 in
-            let bound =
-              match bw name with
-              | Some w when w <= lo -> 0
-              | Some w when w - lo < fw -> Bits.ones (w - lo)
-              | _ -> Bits.ones fw
-            in
-            (Some (bound lsl numbits), numbits + fw))
+  let bound = function
+    | Lower.Const c -> Some c
+    | Lower.Whole { name; at } -> Option.map (fun w -> Bits.ones w lsl at) (bw name)
+    | Lower.Field { name; lo; hi; at } ->
+        let fw = hi - lo + 1 in
+        let bound =
+          match bw name with
+          | Some w when w <= lo -> 0
+          | Some w when w - lo < fw -> Bits.ones (w - lo)
+          | _ -> Bits.ones fw
+        in
+        Some (bound lsl at)
   in
-  let rec go acc numbits = function
-    | [] -> clamp acc
-    | atom :: rest -> (
-        let v, numbits = contribution numbits atom in
-        match (acc, clamp v) with
-        | Some a, Some v -> go (Some (a + v)) numbits rest
-        | _ -> None)
-  in
-  go (Some 0) 0 (List.rev atoms)
+  List.fold_left
+    (fun acc term ->
+      match (acc, clamp (bound term)) with
+      | Some a, Some v -> Some (a + v)
+      | _ -> None)
+    (Some 0) (Lower.lower e)
+  |> clamp
 
 (* Can evaluating this component itself raise?  ALUs are total (reads never
    fail either); a selector raises iff its select can leave the case

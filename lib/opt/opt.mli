@@ -8,10 +8,10 @@
     {!result.dead}) may change.
 
     Internally each combinational component is translated into a hash-consed
-    dataflow node (an enriched form of [Lower.term]: constants, state slots,
-    bit extracts, shifts, sums, ALU applications, selections) mirroring
-    {!Asim_core.Expr.eval}'s placement arithmetic exactly — including
-    unmasked totals and negative intermediates.  Structural sharing over
+    dataflow node (constants, state slots, bit extracts, shifts, sums, ALU
+    applications, selections) built from {!Asim_core.Lower.lower}'s placed
+    fields, so it follows {!Asim_core.Expr.eval}'s placement arithmetic
+    exactly — including unmasked totals and negative intermediates.  Structural sharing over
     that DAG drives constant propagation and common-subexpression
     elimination; the rewrites are materialized back into ordinary spec
     components (constant wires, forwarding wires, pruned selectors), so no

@@ -192,7 +192,7 @@ let drive (cfg : config) ~cid tally =
               let answered = Array.make (jobs + 1) 0 in
               answered.(0) <- 1 (* the upload reply *);
               for j = 1 to jobs do
-                sent_at.(j) <- Unix.gettimeofday ();
+                sent_at.(j) <- Asim_obs.Clock.now ();
                 write_all fd
                   (job_line ~cid ~j ~hash ~cycles:cfg.cycles ~engine:cfg.engine
                   ^ "\n");
@@ -215,7 +215,7 @@ let drive (cfg : config) ~cid tally =
                               else begin
                                 decr remaining;
                                 tally.t_latencies <-
-                                  (Unix.gettimeofday () -. sent_at.(i))
+                                  (Asim_obs.Clock.now () -. sent_at.(i))
                                   :: tally.t_latencies;
                                 match Json.member "status" json with
                                 | Some (Json.String "ok") ->
@@ -272,7 +272,7 @@ let percentile sorted p =
 let run (cfg : config) =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let connections = max 1 cfg.connections in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Asim_obs.Clock.now () in
   let tallies = Array.init connections (fun _ -> fresh_tally ()) in
   let threads =
     Array.mapi
@@ -280,7 +280,7 @@ let run (cfg : config) =
       tallies
   in
   Array.iter Thread.join threads;
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = Asim_obs.Clock.now () -. t0 in
   let cache_hit_rate = if cfg.scrape then scrape_hit_rate cfg else None in
   let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
   let latencies =

@@ -26,6 +26,24 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* Native plugins built by the CLI under test go to a private cache, not
+   the user's default one under $HOME; every child inherits the variable. *)
+let cache_dir =
+  let dir = Filename.temp_file "asim-test-cli-jit" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Unix.putenv "ASIM_JIT_CACHE_DIR" dir;
+  dir
+
+let () = at_exit (fun () -> try remove_tree cache_dir with Sys_error _ -> ())
+
 (* Run the CLI; returns (exit_code, combined stdout+stderr).  [env] is a
    space-separated list of VAR=value assignments applied to the child only
    (an empty value like PATH= clears the variable). *)
@@ -284,13 +302,6 @@ let test_interactive () =
           "Number of cycles to trace"; "Cycle   2 count= 2";
           "Continue to cycle (0 to quit)"; "Cycle   5 count= 5";
         ])
-
-let rec remove_tree path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
 
 let test_fuzz_clean () =
   check_ok "fuzz clean"

@@ -6,7 +6,7 @@ module Codegen = Asim_codegen.Codegen
 module Pascal = Asim_codegen.Pascal
 module Ocaml_gen = Asim_codegen.Ocaml_gen
 module C_gen = Asim_codegen.C_gen
-module Lower = Asim_codegen.Lower
+module Lower = Asim_core.Lower
 
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
@@ -135,10 +135,11 @@ let test_lower_terms () =
   match Lower.lower concat with
   | [ Lower.Field f1; Lower.Field f2; Lower.Const 2 ] ->
       Alcotest.(check string) "first" "mem" f1.name;
-      Alcotest.(check (option int)) "mask1" (Some 24) f1.mask;
-      Alcotest.(check int) "shift1" 0 f1.shift;
+      Alcotest.(check (pair int int)) "range1" (3, 4) (f1.lo, f1.hi);
+      Alcotest.(check int) "at1" 3 f1.at;
       Alcotest.(check string) "second" "count" f2.name;
-      Alcotest.(check int) "shift2" (-1) f2.shift
+      Alcotest.(check (pair int int)) "range2" (1, 1) (f2.lo, f2.hi);
+      Alcotest.(check int) "at2" 0 f2.at
   | terms -> Alcotest.failf "unexpected lowering (%d terms)" (List.length terms)
 
 let test_lower_constant_folding () =

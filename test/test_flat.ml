@@ -224,6 +224,43 @@ let test_program_size () =
   Alcotest.(check bool) "non-trivial program" true
     (Flat.program_size analysis > 100)
 
+(* The words of one combinational component's block: blocks are laid out in
+   evaluation order, then the memories' expression blocks. *)
+let block (p : Flat.program) name =
+  let ncomb = Array.length p.Flat.p_comb_entry in
+  let rec find pos =
+    if p.Flat.p_names.(p.Flat.p_comb_id.(pos)) = name then pos else find (pos + 1)
+  in
+  let pos = find 0 in
+  let stop =
+    if pos + 1 < ncomb then p.Flat.p_comb_entry.(pos + 1)
+    else if Array.length p.Flat.p_mems > 0 then p.Flat.p_mems.(0).Flat.m_addr_pc
+    else Array.length p.Flat.p_code
+  in
+  Array.sub p.Flat.p_code p.Flat.p_comb_entry.(pos) (stop - p.Flat.p_comb_entry.(pos))
+
+let o2_program source =
+  Flat.compile (Asim.Opt.run ~level:Asim.Opt.O2 (Asim.load_string source))
+
+(* The optimizer leaves traced components verbatim, so at -O2 the two
+   emit-time rewrites below are the only thing shrinking them. *)
+let test_const_selector_folds () =
+  let p =
+    o2_program
+      "# constant select\n= 4\npick* copy* r .\nS pick 1 r.0.3 r.4.7 r.8.11\n\
+       A copy 1 0 r.4.7\nM r 0 pick 1 1\n.\n"
+  in
+  Alcotest.(check (array int)) "the live case alone, no dispatch" (block p "copy")
+    (block p "pick")
+
+let test_adjacent_fields_fuse () =
+  let p =
+    o2_program
+      "# adjacent fields\n= 4\ncat* whole* r .\nA cat 1 0 r.4.7,r.0.3\n\
+       A whole 1 0 r.0.7\nM r 0 cat 1 1\n.\n"
+  in
+  Alcotest.(check (array int)) "one load" (block p "whole") (block p "cat")
+
 let test_codegen_spans () =
   let tracer = Asim_obs.Tracer.create () in
   let analysis = Asim.load_string diamond in
@@ -265,6 +302,10 @@ let () =
       ( "codegen",
         [
           Alcotest.test_case "program size" `Quick test_program_size;
+          Alcotest.test_case "traced constant selector folds at -O2" `Quick
+            test_const_selector_folds;
+          Alcotest.test_case "traced adjacent fields fuse at -O2" `Quick
+            test_adjacent_fields_fuse;
           Alcotest.test_case "spans" `Quick test_codegen_spans;
         ] );
     ]

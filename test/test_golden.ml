@@ -65,6 +65,28 @@ let () =
           Alcotest.test_case "traffic light verilog" `Quick
             (check_golden ~lang:Codegen.Verilog ~source:Specs.traffic_light
                ~golden:"traffic.v");
+          (* The two larger machines reach what the small ones do not: the
+             dynamic memory-operation dispatch (8 memories in the sieve, 5
+             in the tiny computer) and run-time trace conditions (2 in the
+             tiny computer). *)
+          Alcotest.test_case "stack machine sieve pascal" `Quick
+            (check_golden ~lang:Codegen.Pascal ~source:Specs.stack_machine_sieve
+               ~golden:"stack-machine-sieve.p");
+          Alcotest.test_case "stack machine sieve ocaml" `Quick
+            (check_golden ~lang:Codegen.Ocaml ~source:Specs.stack_machine_sieve
+               ~golden:"stack-machine-sieve.ml.golden");
+          Alcotest.test_case "stack machine sieve c" `Quick
+            (check_golden ~lang:Codegen.C ~source:Specs.stack_machine_sieve
+               ~golden:"stack-machine-sieve.c.golden");
+          Alcotest.test_case "tiny computer pascal" `Quick
+            (check_golden ~lang:Codegen.Pascal ~source:Specs.tiny_computer
+               ~golden:"tiny-computer.p");
+          Alcotest.test_case "tiny computer ocaml" `Quick
+            (check_golden ~lang:Codegen.Ocaml ~source:Specs.tiny_computer
+               ~golden:"tiny-computer.ml.golden");
+          Alcotest.test_case "tiny computer c" `Quick
+            (check_golden ~lang:Codegen.C ~source:Specs.tiny_computer
+               ~golden:"tiny-computer.c.golden");
         ] );
       ( "microcode",
         [

@@ -30,6 +30,12 @@ let () =
   backend "traffic.ml.golden" Codegen.Ocaml Specs.traffic_light;
   backend "traffic.c.golden" Codegen.C Specs.traffic_light;
   backend "traffic.v" Codegen.Verilog Specs.traffic_light;
+  backend "stack-machine-sieve.p" Codegen.Pascal Specs.stack_machine_sieve;
+  backend "stack-machine-sieve.ml.golden" Codegen.Ocaml Specs.stack_machine_sieve;
+  backend "stack-machine-sieve.c.golden" Codegen.C Specs.stack_machine_sieve;
+  backend "tiny-computer.p" Codegen.Pascal Specs.tiny_computer;
+  backend "tiny-computer.ml.golden" Codegen.Ocaml Specs.tiny_computer;
+  backend "tiny-computer.c.golden" Codegen.C Specs.tiny_computer;
   write "stackm.asim.golden"
     (Asim_core.Pretty.spec
        (Asim_stackm.Microcode.spec ~program:Asim_stackm.Programs.sieve ()))
