@@ -450,8 +450,7 @@ let figure_batch ?serve () =
                Asim_batch.Proto.id = Some (Printf.sprintf "sieve-%02d" i);
                trace_id = None;
                source = Asim_batch.Proto.Example "stack-machine-sieve";
-               engine = Asim.Compiled;
-               optimize = true;
+               engine = `Compiled;
                cycles = None;
                inputs = [];
                want = [ Asim_batch.Proto.Outputs ];

@@ -55,16 +55,49 @@ let engine_arg_with default =
     & info [ "e"; "engine" ] ~docv:"ENGINE"
         ~doc:
           "Simulation engine: $(b,interp) (the ASIM baseline), $(b,compiled) \
-           (ASIM II), $(b,flat) (int-coded flat kernel with activity-driven \
-           scheduling), $(b,native) (spec compiled to an OCaml module by \
-           the host toolchain and Dynlinked in; needs ocamlfind/ocamlopt on \
-           PATH), $(b,tiered) (starts on $(b,flat), compiles in a \
-           background domain and hot-swaps to $(b,native) at a cycle \
-           boundary; runs entirely on $(b,flat) when no toolchain answers) \
-           or $(b,par) (the flat kernel partitioned across domains and run \
-           bulk-synchronously; see $(b,--domains)).")
+           (ASIM II) or $(b,unoptimized) (the same compiler without its \
+           §4.4 constant-operand optimizations), $(b,flat) (int-coded flat \
+           kernel with activity-driven scheduling) or $(b,flat-full) (the \
+           same kernel re-evaluating everything every cycle), $(b,native) \
+           (spec compiled to an OCaml module by the host toolchain and \
+           Dynlinked in; needs ocamlfind/ocamlopt on PATH), $(b,tiered) \
+           (starts on $(b,flat), compiles in a background domain and \
+           hot-swaps to $(b,native) at a cycle boundary; runs entirely on \
+           $(b,flat) when no toolchain answers) or $(b,par) (the flat \
+           kernel partitioned across domains and run bulk-synchronously; \
+           see $(b,--domains)).")
 
-let engine_arg = engine_arg_with Asim.Compiled
+let engine_arg = engine_arg_with `Compiled
+
+(* The two engine settings scripts and CI pass through the environment:
+   ASIM_PAR_DOMAINS (the partitioned engine's domain count) and
+   ASIM_TIERED_SWAP_AT (the tiered engine's swap point).  Read here, and
+   only for the engine that uses them; an empty value counts as unset and
+   a malformed one exits 2. *)
+let env_settings (engine : Asim.engine) : Asim.engine =
+  let read var parse ~expected ~default =
+    match Option.map String.trim (Sys.getenv_opt var) with
+    | None | Some "" -> default
+    | Some s -> (
+        match parse s with
+        | Some v -> v
+        | None ->
+            Printf.eprintf "asim: %s must be %s, got %S\n" var expected s;
+            exit 2)
+  in
+  match engine with
+  | `Par p ->
+      let positive s = Option.bind (int_of_string_opt s) (fun n -> if n >= 1 then Some n else None) in
+      `Par
+        { p with
+          Asim.domains =
+            read "ASIM_PAR_DOMAINS" positive ~expected:"a positive integer"
+              ~default:p.Asim.domains }
+  | `Tiered policy ->
+      `Tiered
+        (read "ASIM_TIERED_SWAP_AT" Asim.Tiered.policy_of_string
+           ~expected:"a cycle number, \"auto\" or \"never\"" ~default:policy)
+  | e -> e
 
 let opt_level_conv =
   Arg.conv
@@ -77,28 +110,16 @@ let opt_level_conv =
 let opt_arg =
   Arg.(
     value
-    & opt (some opt_level_conv) None
+    & opt opt_level_conv Asim.Opt.O2
     & info [ "O"; "opt-level" ] ~docv:"LEVEL"
         ~doc:
           "Middle-end optimization level for the shared codegen IR \
            (docs/optimizer.md): $(b,0) disables it, $(b,1) runs constant \
-           propagation, atom fusion and width narrowing, $(b,2) adds \
-           common-subexpression elimination, dead-component elimination and \
-           cost-driven scheduling.  Defaults to $(b,ASIM_OPT) when set, \
-           else 2.  Every engine consumes the optimized spec; observables \
-           (traces, I/O, memory images, statistics, faults, errors) are \
-           preserved at every level.")
-
-(* The env default is resolved per command so junk in ASIM_OPT only fails
-   commands that consult it. *)
-let resolve_opt = function
-  | Some l -> l
-  | None -> (
-      match Asim.Opt.env_level () with
-      | l -> l
-      | exception Asim.Error.Error e ->
-          prerr_endline ("asim: " ^ Asim.Error.to_string e);
-          exit 2)
+           propagation, atom fusion and width narrowing, $(b,2) (the \
+           default) adds common-subexpression elimination, dead-component \
+           elimination and cost-driven scheduling.  Every engine consumes \
+           the optimized spec; observables (traces, I/O, memory images, \
+           statistics, faults, errors) are preserved at every level.")
 
 let trace_out_arg =
   Arg.(
@@ -238,7 +259,7 @@ let par_costs_of_file path =
 
 let run_cmd =
   let run path engine cycles stats quiet vcd faults interactive trace_out stats_json
-      profile domains par_profile opt =
+      profile domains par_profile level =
     let tracer = tracer_for trace_out in
     (* Stage timings come from {!Asim_obs.Clock} so --stats-json is
        deterministic under a mock clock; the same boundaries become
@@ -263,7 +284,6 @@ let run_cmd =
     print_warnings analysis;
     (* One middle-end run covers every engine below, including the tiered
        engine's direct [create_status] path; fault targets stay live. *)
-    let level = resolve_opt opt in
     let analysis, optimize_s =
       match level with
       | Asim.Opt.O0 -> (analysis, 0.0)
@@ -274,20 +294,30 @@ let run_cmd =
     let trace = if quiet then Asim.Trace.null_sink else Asim.Trace.channel_sink stdout in
     let config = { Asim.Machine.default_config with trace; faults } in
     let prof = if profile then Some (Asim.Prof.create analysis) else None in
-    let par_costs = Option.map par_costs_of_file par_profile in
+    let engine =
+      match (engine, domains) with
+      | `Par p, Some domains -> `Par { p with Asim.domains }
+      | e, _ -> env_settings e
+    in
+    let engine =
+      match (engine, par_profile) with
+      | `Par p, Some path -> `Par { p with Asim.costs = par_costs_of_file path }
+      | e, _ -> e
+    in
     let (machine, tiered_status), build_s =
       (* The tiered engine is built through [create_status] so --stats-json
          can record how the swap resolved (swapped/pending/unavailable/...). *)
       timed "pipeline.build" (fun () ->
-          match engine with
-          | Asim.TieredEngine ->
+          match (engine, prof) with
+          | `Tiered swap_at, _ ->
               let m, status =
-                Asim.Tiered.create_status ~config ~tracer ?prof analysis
+                Asim.Tiered.create_status ~config ~tracer ~swap_at ?prof analysis
               in
               (m, Some status)
-          | _ ->
-              ( Asim.machine ~config ~engine ~tracer ?prof ?domains
-                  ?par_costs analysis,
+          | engine, None -> (Asim.machine ~config ~tracer ~engine analysis, None)
+          | engine, Some prof ->
+              ( Asim.profiled ~config ~tracer ~engine:(Asim.counting engine) prof
+                  analysis,
                 None ))
     in
     let cycles =
@@ -461,7 +491,8 @@ let run_cmd =
             "Attach per-component performance counters to the simulated \
              machine and print the profile report after the run (also \
              embedded in $(b,--stats-json) output).  Unsupported on the \
-             $(b,native) engine; pins $(b,tiered) to the flat kernel.")
+             $(b,native) and $(b,par) engines; pins $(b,tiered) to the flat \
+             kernel.")
   in
   let domains_arg =
     Arg.(
@@ -470,9 +501,9 @@ let run_cmd =
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Partition count for the $(b,par) engine (default: \
-             ASIM_PAR_DOMAINS, else the machine's core count, capped at 8).  \
-             Behavior is identical at every count — only the schedule \
-             changes.  Other engines ignore this.")
+             $(b,ASIM_PAR_DOMAINS) when set, else the machine's core count, \
+             capped at 8).  Behavior is identical at every count — only the \
+             schedule changes.  Other engines ignore this.")
   in
   let par_profile_arg =
     Arg.(
@@ -702,8 +733,7 @@ let profile_cmd =
     Printf.printf "%d cycles\n\n" cycles;
     print_string (Asim.Profile.to_string profiles)
   in
-  let run path engine schedule cycles components top sample_every json flame
-      trace_out =
+  let run path engine cycles components top sample_every json flame trace_out =
     let analysis = or_die (load path) in
     if components <> [] then occupancy engine cycles components analysis
     else begin
@@ -716,8 +746,8 @@ let profile_cmd =
       let tracer = tracer_for trace_out in
       (try
          let m =
-           Asim.machine ~config:Asim.Machine.quiet_config ~engine ?schedule
-             ~tracer ~prof analysis
+           Asim.profiled ~config:Asim.Machine.quiet_config ~tracer
+             ~engine:(Asim.counting engine) prof analysis
          in
          let cycles =
            match cycles with
@@ -791,21 +821,6 @@ let profile_cmd =
             "Also write folded flame stacks (collapsed-stack format for \
              flamegraph tools) to FILE.")
   in
-  let schedule_arg =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                [ ("activity", Asim.Flat.Activity); ("full", Asim.Flat.Full) ]))
-          None
-      & info [ "schedule" ] ~docv:"SCHED"
-          ~doc:
-            "Flat-kernel scheduling: $(b,activity) (dirty-bit skipping, the \
-             default — skip counts show what was quiescent) or $(b,full) \
-             (re-evaluate everything every cycle — evaluation counts match \
-             an interpreter recount exactly).  Flat engine only.")
-  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
@@ -813,11 +828,13 @@ let profile_cmd =
           dirty-skips, memory traffic and a sampled per-level cycle \
           profile, with source positions and an estimated cost model.  \
           With $(b,-c NAME), the original occupancy-histogram mode \
-          instead.  Unsupported on the $(b,native) engine.")
+          instead.  Defaults to $(b,-e flat); $(b,-e flat-full) \
+          re-evaluates every component every cycle, so its evaluation \
+          counts match an interpreter recount exactly.  Unsupported on the \
+          $(b,native) and $(b,par) engines.")
     Term.(
-      const run $ file_arg $ engine_arg_with Asim.FlatKernel $ schedule_arg
-      $ cycles_arg $ components_arg $ top_arg $ sample_every_arg $ json_arg
-      $ flame_arg $ trace_out_arg)
+      const run $ file_arg $ engine_arg_with `Flat $ cycles_arg $ components_arg
+      $ top_arg $ sample_every_arg $ json_arg $ flame_arg $ trace_out_arg)
 
 (* --- gates ------------------------------------------------------------------ *)
 
@@ -961,9 +978,15 @@ let wavediff_cmd =
 let fuzz_cmd =
   let run seed count start max_comb max_mem cycles wide engines artifacts
       time_budget inject_bug print_specs no_shrink quiet fuzz_jobs trace_out opt =
-    let opt = resolve_opt opt in
     let size = { Asim_fuzz.Gen.max_comb; max_mem; cycles; wide } in
-    let engines = if inject_bug then engines @ [ Asim_fuzz.Oracle.Buggy ] else engines in
+    let engines =
+      List.map
+        (function
+          | #Asim.engine as e -> (env_settings e :> Asim_fuzz.Oracle.engine)
+          | e -> e)
+        engines
+    in
+    let engines = if inject_bug then engines @ [ `Buggy ] else engines in
     (match engines with
     | [] | [ _ ] ->
         prerr_endline "asim: fuzz needs at least two engines to compare";
@@ -1045,9 +1068,9 @@ let fuzz_cmd =
       & info [ "engines" ] ~docv:"LIST"
           ~doc:
             "Comma-separated engines to compare (first is the reference): \
-             $(b,interp), $(b,compiled), $(b,unoptimized), $(b,lowered), \
-             $(b,flat), $(b,flat-full), $(b,native), $(b,tiered), \
-             $(b,buggy).  $(b,native) is dropped with a warning when no \
+             any $(b,-e) engine of $(b,asim run), plus $(b,lowered) (the \
+             codegen lowering evaluated directly) and $(b,buggy) (a \
+             deliberately faulty compiler).  $(b,native) is dropped with a warning when no \
              OCaml toolchain answers on PATH ($(b,tiered) stays: it \
              degrades to flat-only with identical observables).")
   in
@@ -1133,7 +1156,7 @@ let batch_cmd =
     let t =
       Asim_batch.Runner.create ~cache_capacity ~tracer
         ~force_want:(if profile then [ Asim_batch.Proto.Profile ] else [])
-        ~opt:(resolve_opt opt) ()
+        ~opt ()
     in
     let t0 = Obs_clock.now () in
     let ic =
@@ -1205,7 +1228,7 @@ let serve_cmd =
         max_line_bytes;
         store_capacity;
         default_timeout_s = timeout_s;
-        opt = resolve_opt opt;
+        opt;
         tracer;
       }
     in

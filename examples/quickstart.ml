@@ -25,11 +25,11 @@ let () =
     (String.concat " "
        (List.map (fun (c : Asim.Component.t) -> c.name) analysis.Asim.Analysis.order));
 
-  (* Build a machine.  [Compiled] is the paper's contribution (ASIM II);
-     [Interpreter] is the ASIM baseline.  Both behave identically. *)
+  (* Build a machine.  [`Compiled] is the paper's contribution (ASIM II);
+     [`Interp] is the ASIM baseline.  Both behave identically. *)
   let buf = Buffer.create 256 in
   let config = { Asim.Machine.quiet_config with trace = Asim.Trace.buffer_sink buf } in
-  let machine = Asim.machine ~config ~engine:Asim.Compiled analysis in
+  let machine = Asim.machine ~config ~engine:`Compiled analysis in
 
   (* Run twelve cycles and show the per-cycle trace of starred components. *)
   Asim.Machine.run machine ~cycles:12;

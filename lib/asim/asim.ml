@@ -28,74 +28,69 @@ module Prof = Asim_prof.Prof
 module Opt = Asim_opt.Opt
 module Specs = Specs
 
-type engine =
-  | Interpreter
-  | Compiled
-  | FlatKernel
-  | Native
-  | TieredEngine
-  | Partitioned
+type par = { domains : int; costs : (string * float) list }
 
-let engine_of_string s =
+type counting =
+  [ `Interp | `Compiled | `Unoptimized | `Flat | `FlatFull | `Tiered of Tiered.policy ]
+
+type engine = [ counting | `Native | `Par of par ]
+
+let engine_of_string s : engine option =
   match String.lowercase_ascii s with
-  | "interp" | "interpreter" | "asim" -> Some Interpreter
-  | "compiled" | "compile" | "asim2" | "asimii" -> Some Compiled
-  | "flat" | "flat-kernel" | "flatkernel" -> Some FlatKernel
-  | "native" | "jit" -> Some Native
-  | "tiered" | "tier" -> Some TieredEngine
-  | "par" | "bsp" | "partitioned" -> Some Partitioned
+  | "interp" | "interpreter" | "asim" -> Some `Interp
+  | "compiled" | "compile" | "asim2" | "asimii" -> Some `Compiled
+  | "unoptimized" | "unopt" -> Some `Unoptimized
+  | "flat" | "flat-kernel" | "flatkernel" -> Some `Flat
+  | "flat-full" | "flat_full" | "flatfull" -> Some `FlatFull
+  | "native" | "jit" -> Some `Native
+  | "tiered" | "tier" -> Some (`Tiered Tiered.Auto)
+  | "par" | "bsp" | "partitioned" ->
+      Some (`Par { domains = Par.default_domains (); costs = [] })
   | _ -> None
 
 let engine_to_string = function
-  | Interpreter -> "interpreter"
-  | Compiled -> "compiled"
-  | FlatKernel -> "flat"
-  | Native -> "native"
-  | TieredEngine -> "tiered"
-  | Partitioned -> "par"
+  | `Interp -> "interp"
+  | `Compiled -> "compiled"
+  | `Unoptimized -> "unoptimized"
+  | `Flat -> "flat"
+  | `FlatFull -> "flat-full"
+  | `Native -> "native"
+  | `Tiered _ -> "tiered"
+  | `Par _ -> "par"
 
 let load_string source = Analysis.analyze (Parser.parse_string source)
 
 let load_file path = Analysis.analyze (Parser.parse_file path)
 
-let machine ?config ?(engine = Compiled) ?optimize ?opt ?opt_costs ?schedule
-    ?tracer ?prof ?domains ?par_costs analysis =
-  (* The middle-end runs once, up front, on the analyzed spec — every engine
-     below consumes the rewritten analysis unchanged.  Fault targets are kept
-     verbatim (their widths can't be trusted and their values are observable
-     through the perturbation). *)
-  let analysis =
-    match opt with
-    | None | Some Asim_opt.Opt.O0 -> analysis
-    | Some level ->
-        let keep =
-          match config with
-          | Some { Machine.faults; _ } -> Fault.targets faults
-          | None -> []
-        in
-        Opt.run ~level ~keep ?costs:opt_costs analysis
-  in
+let build_counting ?config ?tracer ?prof (engine : [< counting ]) analysis =
   match engine with
-  | Interpreter -> Interp.create ?config ?prof analysis
-  | Compiled -> Compile.create ?config ?optimize ?prof analysis
-  | FlatKernel -> Flat.create ?config ?schedule ?tracer ?prof analysis
-  | Native -> (
-      match prof with
-      | None -> Jit.create ?config ?tracer analysis
-      | Some _ ->
-          Error.failf Error.Runtime
-            "the native engine does not support profiling (the generated \
-             plugin carries no counters); use flat, tiered, compiled or \
-             interp")
-  | TieredEngine -> Tiered.create ?config ?tracer ?prof analysis
-  | Partitioned -> (
-      match prof with
-      | None -> Par.create ?config ?tracer ?domains ?costs:par_costs analysis
-      | Some _ ->
-          Error.failf Error.Runtime
-            "the partitioned engine does not support profiling (per-eval \
-             counters would race across domains); collect the profile on \
-             flat and feed its cost model back with --par-profile")
+  | `Interp -> Interp.create ?config ?prof analysis
+  | `Compiled -> Compile.create ?config ?prof analysis
+  | `Unoptimized -> Compile.create ?config ~optimize:false ?prof analysis
+  | `Flat -> Flat.create ?config ~schedule:Flat.Activity ?tracer ?prof analysis
+  | `FlatFull -> Flat.create ?config ~schedule:Flat.Full ?tracer ?prof analysis
+  | `Tiered swap_at -> Tiered.create ?config ?tracer ~swap_at ?prof analysis
+
+let machine ?config ?tracer ?(engine = `Compiled) analysis =
+  match engine with
+  | #counting as engine -> build_counting ?config ?tracer engine analysis
+  | `Native -> Jit.create ?config ?tracer analysis
+  | `Par { domains; costs } -> Par.create ?config ?tracer ~domains ~costs analysis
+
+let profiled ?config ?tracer ~engine prof analysis =
+  build_counting ?config ?tracer ~prof engine analysis
+
+let counting = function
+  | #counting as engine -> engine
+  | `Native ->
+      Error.failf Error.Runtime
+        "the native engine does not support profiling (the generated plugin \
+         carries no counters); use flat, tiered, compiled or interp"
+  | `Par _ ->
+      Error.failf Error.Runtime
+        "the partitioned engine does not support profiling (per-eval counters \
+         would race across domains); collect the profile on flat and feed its \
+         cost model back with --par-profile"
 
 let run_analysis ?config ?engine ?cycles analysis =
   let m = machine ?config ?engine analysis in

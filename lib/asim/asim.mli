@@ -34,30 +34,45 @@ module Opt = Asim_opt.Opt
 module Specs : module type of Specs
 (** Embedded example specifications. *)
 
-(** Which simulation engine to use.  [Interpreter] is the ASIM baseline;
-    [Compiled] is the ASIM II contribution; [FlatKernel] is the int-coded
-    flat program with activity-driven scheduling ({!Flat}); [Native] is the
+(** One engine and its own settings: the single description of an engine,
+    shared by [asim run]'s [-e], batch and serve jobs and the fuzz oracle.
+
+    [`Interp] is the ASIM baseline; [`Compiled] is the ASIM II contribution
+    ({!Compile}, §4.4 constant-operand optimizations on) and [`Unoptimized]
+    the same compiler with them off; [`Flat] is the int-coded flat program
+    with activity-driven scheduling ({!Flat}) and [`FlatFull] the same
+    kernel re-evaluating everything every cycle; [`Native] is the
     Dynlink-JIT over the codegen backend ({!Jit} — needs an OCaml toolchain
-    on PATH); [TieredEngine] starts on the flat kernel and hot-swaps to the
-    native engine at a cycle boundary once a background compile finishes
-    ({!Tiered} — degrades to flat-only without a toolchain);
-    [Partitioned] is the flat kernel partitioned across domains and run
-    bulk-synchronously ({!Par} — domain count from [?domains], then
-    [ASIM_PAR_DOMAINS], then the core count). *)
-type engine =
-  | Interpreter
-  | Compiled
-  | FlatKernel
-  | Native
-  | TieredEngine
-  | Partitioned
+    on PATH); [`Tiered policy] starts on the flat kernel and hot-swaps to
+    the native engine at the cycle boundary [policy] picks ({!Tiered} —
+    degrades to flat-only without a toolchain); [`Par] is the flat kernel
+    partitioned across [domains] domains and run bulk-synchronously
+    ({!Par}), its partitioner balancing [costs] (a measured per-component
+    cost model; [[]] means static flat-program word counts). *)
+
+type par = { domains : int; costs : (string * float) list }
+
+type counting =
+  [ `Interp | `Compiled | `Unoptimized | `Flat | `FlatFull | `Tiered of Tiered.policy ]
+(** The engines whose machines can carry a {!Prof} profile.  [`Native]'s
+    generated plugin has no counters and [`Par]'s would race across
+    domains; a profiled [`Tiered] run is pinned to the instrumented flat
+    kernel. *)
+
+type engine = [ counting | `Native | `Par of par ]
 
 val engine_of_string : string -> engine option
-(** ["interp"]/["asim"], ["compiled"]/["asim2"], ["flat"],
-    ["native"]/["jit"], ["tiered"] and ["par"]/["bsp"]
-    (case-insensitive). *)
+(** ["interp"]/["interpreter"]/["asim"], ["compiled"]/["compile"]/["asim2"]/
+    ["asimii"], ["unoptimized"]/["unopt"], ["flat"]/["flat-kernel"]/
+    ["flatkernel"], ["flat-full"]/["flat_full"]/["flatfull"],
+    ["native"]/["jit"], ["tiered"]/["tier"] and ["par"]/["bsp"]/
+    ["partitioned"] (case-insensitive).  Settings take their built-in
+    defaults: [Tiered.Auto], and {!Par.default_domains} with no cost
+    model. *)
 
-val engine_to_string : engine -> string
+val engine_to_string : [< engine ] -> string
+(** The short [-e] spelling: ["interp"], ["compiled"], ["unoptimized"],
+    ["flat"], ["flat-full"], ["native"], ["tiered"] or ["par"]. *)
 
 val load_string : string -> Analysis.t
 (** Parse and analyze a specification source.  Raises {!Error.Error}. *)
@@ -66,31 +81,28 @@ val load_file : string -> Analysis.t
 
 val machine :
   ?config:Machine.config ->
-  ?engine:engine ->
-  ?optimize:bool ->
-  ?opt:Opt.level ->
-  ?opt_costs:(string * float) list ->
-  ?schedule:Flat.schedule ->
   ?tracer:Asim_obs.Tracer.t ->
-  ?prof:Prof.t ->
-  ?domains:int ->
-  ?par_costs:(string * float) list ->
+  ?engine:engine ->
   Analysis.t ->
   Machine.t
-(** Instantiate a runnable machine.  Defaults: [Compiled] engine, paper
-    optimizations on, {!Machine.default_config}.  [opt] runs the {!Opt}
-    middle-end over the analysis before the engine is built (default: no
-    middle-end, i.e. [O0]) — every engine consumes the rewritten spec;
-    fault-plan targets from [config] are kept verbatim.  [opt_costs] feeds
-    the scheduler's cost model.  [optimize] applies to the [Compiled]
-    engine's own §4.4 closure optimizations only; [schedule] and [tracer]
-    to [FlatKernel] only;
-    [domains] and [par_costs] (a measured per-component cost model for the
-    partitioner) to [Partitioned] only.  [prof] attaches an {!Prof} profile
-    to any engine except [Native] (whose generated plugin carries no
-    counters) and [Partitioned] (whose counters would race across domains)
-    — requesting either raises {!Error.Error}; a profiled [TieredEngine]
-    run is pinned to the instrumented flat kernel. *)
+(** Instantiate a runnable machine on [engine] (default [`Compiled]);
+    [config] defaults to {!Machine.default_config}.  Every engine runs the
+    analysis it is given: a caller that wants the {!Opt} middle-end runs it
+    first.  [tracer] receives the engines' build and swap spans. *)
+
+val profiled :
+  ?config:Machine.config ->
+  ?tracer:Asim_obs.Tracer.t ->
+  engine:[< counting ] ->
+  Prof.t ->
+  Analysis.t ->
+  Machine.t
+(** {!machine} with a {!Prof} profile attached.  Only a counting engine is
+    accepted; {!counting} narrows an engine chosen at run time. *)
+
+val counting : engine -> counting
+(** [engine] itself when it counts.  [`Native] and [`Par] raise
+    {!Error.Error} (runtime phase) saying why they cannot be profiled. *)
 
 val run_string :
   ?config:Machine.config -> ?engine:engine -> ?cycles:int -> string -> Machine.t

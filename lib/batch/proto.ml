@@ -18,7 +18,6 @@ type job = {
   trace_id : string option;
   source : source;
   engine : Asim.engine;
-  optimize : bool;
   opt : Asim.Opt.level option;
       (* middle-end level for this job; [None] defers to the session default *)
   cycles : int option;
@@ -109,14 +108,18 @@ let job_of_json json =
       let* engine =
         let* name = field_opt json "engine" Json.to_string_opt ~expected:"a string" in
         match name with
-        | None -> Ok Asim.Compiled
+        | None -> Ok `Compiled
         | Some name -> (
             match Asim.engine_of_string name with
             | Some e -> Ok e
             | None -> Error (Printf.sprintf "unknown engine %S" name))
       in
+      (* The §4.4 switch predates the [unoptimized] engine name; it only
+         ever applied to the closure compiler. *)
       let* optimize = field_opt json "optimize" Json.to_bool ~expected:"a boolean" in
-      let optimize = Option.value optimize ~default:true in
+      let engine =
+        match (engine, optimize) with `Compiled, Some false -> `Unoptimized | _ -> engine
+      in
       let* opt =
         field_opt json "opt"
           (fun v ->
@@ -168,7 +171,7 @@ let job_of_json json =
         | Some s when s < 0.0 -> Error "field \"timeout_s\" must be non-negative"
         | _ -> Ok ()
       in
-      Ok { id; trace_id; source; engine; optimize; opt; cycles; inputs; want; timeout_s }
+      Ok { id; trace_id; source; engine; opt; cycles; inputs; want; timeout_s }
   | _ -> Error "job must be a JSON object"
 
 let request_of_json json =
@@ -210,7 +213,6 @@ let job_to_json job =
   if job.inputs <> [] then
     add "inputs" (Json.List (List.map (fun i -> Json.Int i) job.inputs));
   Option.iter (fun n -> add "cycles" (Json.Int n)) job.cycles;
-  if not job.optimize then add "optimize" (Json.Bool false);
   Option.iter
     (fun l -> add "opt" (Json.String (Asim.Opt.level_to_string l)))
     job.opt;

@@ -26,9 +26,9 @@ type want =
   | Profile
       (** per-component profile of the simulated design (evaluation
           counts, dirty-skips, memory traffic, fault triggers, cost
-          model).  Unsupported on the [native] engine — such jobs answer
-          with a structured error.  The level timing fields inside the
-          reply are wall-clock, so like [Timing] this breaks
+          model).  Unsupported on the [native] and [par] engines — such
+          jobs answer with a structured error.  The level timing fields
+          inside the reply are wall-clock, so like [Timing] this breaks
           byte-determinism across runs. *)
 
 type job = {
@@ -38,8 +38,10 @@ type job = {
           span the job emits — pipeline, batch, codegen, engine — so one
           Perfetto filter isolates a job end to end *)
   source : source;
-  engine : Asim.engine;  (** default [Compiled] *)
-  optimize : bool;  (** default [true]; §4.4 optimizations *)
+  engine : Asim.engine;
+      (** field ["engine"], default [`Compiled]; the legacy field
+          ["optimize": false] turns [`Compiled] into [`Unoptimized] and is
+          ignored on every other engine *)
   opt : Asim.Opt.level option;
       (** the middle-end level for this job (field ["opt"], accepting 0/1/2
           as number or string); [None] defers to the session default

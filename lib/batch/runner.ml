@@ -23,15 +23,13 @@ let create ?(cache_capacity = 64) ?metrics ?(tracer = Tracer.null)
 let metrics t = t.metrics
 let cache_stats t = Cache.stats t.cache
 
-let cache_key ?(opt = Asim.Opt.O0) ?(keep_all = false) ~engine ~optimize spec =
+let cache_key ~opt ~keep_all spec =
   let canonical = Pretty.spec spec in
   (* The cached value is the post-middle-end analysis, so the key carries
      the opt level and whether every component was pinned live (jobs that
      want raw outputs must see real values for all of them). *)
-  Printf.sprintf "%s:%s:%s:O%s%s"
+  Printf.sprintf "%s:O%s%s"
     (Digest.to_hex (Digest.string canonical))
-    (Asim.engine_to_string engine)
-    (if optimize then "opt" else "noopt")
     (Asim.Opt.level_to_string opt)
     (if keep_all then ":keepall" else "")
 
@@ -171,10 +169,7 @@ let run_job t (job : Proto.job) =
       (* Jobs that want raw final outputs observe every component, so DCE
          (and the rest of the middle-end) must keep them all live. *)
       let keep_all = wanted Proto.Outputs in
-      let key =
-        cache_key ~opt ~keep_all ~engine:job.Proto.engine
-          ~optimize:job.Proto.optimize spec
-      in
+      let key = cache_key ~opt ~keep_all spec in
       let hit = ref true in
       let lookup_t0 = Clock.now () in
       let analysis =
@@ -210,8 +205,11 @@ let run_job t (job : Proto.job) =
       in
       let m =
         Tracer.span tr ~args:job_attr "pipeline.build" (fun () ->
-            Asim.machine ~config ~engine:job.Proto.engine ~optimize:job.Proto.optimize
-              ~tracer:tr ?prof analysis)
+            match prof with
+            | None -> Asim.machine ~config ~tracer:tr ~engine:job.Proto.engine analysis
+            | Some p ->
+                Asim.profiled ~config ~tracer:tr
+                  ~engine:(Asim.counting job.Proto.engine) p analysis)
       in
       let cycles =
         match job.Proto.cycles with

@@ -34,16 +34,14 @@ val metrics : t -> Metrics.t
 val cache_stats : t -> Cache.stats
 (** Live counters of this session's compiled-spec cache. *)
 
-val cache_key :
-  ?opt:Asim.Opt.level -> ?keep_all:bool -> engine:Asim.engine ->
-  optimize:bool -> Asim_core.Spec.t -> string
+val cache_key : opt:Asim.Opt.level -> keep_all:bool -> Asim_core.Spec.t -> string
 (** The cache key: an MD5 content hash of the spec's canonical
-    pretty-printed form, qualified by engine, optimization flag, middle-end
-    level (default [O0]) and whether every component was pinned live
-    (default [false]).  Canonicalizing first makes the key stable across
-    formatting (any source that parses to the same spec shares an entry);
-    the cached value is the post-middle-end analysis, so the last two
-    qualifiers keep differently-optimized rewrites apart. *)
+    pretty-printed form, qualified by the middle-end level and whether
+    every component was pinned live.  Canonicalizing first makes the key
+    stable across formatting (any source that parses to the same spec
+    shares an entry); the cached value is the post-middle-end analysis,
+    which no engine choice affects, so jobs on different engines share
+    it. *)
 
 val stats_to_json : Asim.Stats.t -> Json.t
 (** Machine statistics (cycles, per-memory access counters, total) as JSON

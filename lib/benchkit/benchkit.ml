@@ -99,17 +99,12 @@ let time f =
    own cache choreography and is benched separately (see [bench_tiered]
    below), not through this list. *)
 let measured () =
-  [
-    Oracle.Interp;
-    Oracle.Compiled;
-    Oracle.Lowered;
-    Oracle.Flat;
-    Oracle.FlatFull;
-    (* default domain count — ASIM_PAR_DOMAINS, else the core count; on a
-       one-core box this row is the par@1 overhead ablation *)
-    Oracle.Par;
-  ]
-  @ (if Oracle.available Oracle.Native then [ Oracle.Native ] else [])
+  (* [par] at its default domain count — the core count, capped at 8; on a
+     one-core box this row is the par@1 overhead ablation *)
+  List.map
+    (fun name -> Option.get (Oracle.engine_of_string name))
+    [ "interp"; "compiled"; "lowered"; "flat"; "flat-full"; "par" ]
+  @ (if Oracle.available `Native then [ `Native ] else [])
 
 let rec remove_tree path =
   match Sys.is_directory path with
@@ -132,13 +127,13 @@ let with_temp_jit_cache f =
   Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
 
 let build_machine ~config ~jit_cache_dir analysis = function
-  | Oracle.Native -> Asim_jit.Jit.create ~config ~cache_dir:jit_cache_dir analysis
+  | `Native -> Asim_jit.Jit.create ~config ~cache_dir:jit_cache_dir analysis
   | e -> Oracle.build e ~config analysis
 
 let bench_engine ~reps ~cycles ~jit_cache_dir analysis engine =
   let config = Asim.Machine.quiet_config in
   let build () = build_machine ~config ~jit_cache_dir analysis engine in
-  if engine = Oracle.Native then Asim_jit.Jit.clear_memory_cache ();
+  if engine = `Native then Asim_jit.Jit.clear_memory_cache ();
   let first, build_s = time build in
   (* Warm the code paths once, then take the best of [reps] fresh machines
      (state is cumulative, so each rep needs its own).  Rep rebuilds for
@@ -158,12 +153,9 @@ let bench_engine ~reps ~cycles ~jit_cache_dir analysis engine =
     ns_per_cycle = !wall /. float_of_int (max 1 cycles) *. 1e9;
     compiler =
       (match engine with
-      | Oracle.Native -> Asim_jit.Jit.toolchain_description ()
+      | `Native -> Asim_jit.Jit.toolchain_description ()
       | _ -> None);
-    domains =
-      (match engine with
-      | Oracle.Par -> Some (Asim_par.Par.default_domains ())
-      | _ -> None);
+    domains = (match engine with `Par { Asim.domains; _ } -> Some domains | _ -> None);
   }
 
 (* The tiered row benches the engine exactly as a user hits it cold: empty
@@ -177,6 +169,7 @@ let bench_engine ~reps ~cycles ~jit_cache_dir analysis engine =
    of the threshold the budget landed on. *)
 let bench_tiered ~reps ~cycles ~jit_cache_dir analysis =
   let config = Asim.Machine.quiet_config in
+  Tiered.mute_warning ();
   let swap = ref Tiered.Pending in
   let bench rep =
     Asim_jit.Jit.clear_memory_cache ();
@@ -188,7 +181,6 @@ let bench_tiered ~reps ~cycles ~jit_cache_dir analysis =
     let (m, status), build_s =
       time (fun () ->
           Tiered.create_status ~config ~cache_dir:dir ~swap_at:Tiered.Auto
-            ~on_warning:(fun _ -> ())
             analysis)
     in
     let (), wall = time (fun () -> Asim.Machine.run m ~cycles) in
@@ -220,9 +212,7 @@ let bench_tiered ~reps ~cycles ~jit_cache_dir analysis =
 let bench_tiered_warm ~reps ~cycles ~jit_cache_dir analysis =
   let config = Asim.Machine.quiet_config in
   let build () =
-    Tiered.create ~config ~cache_dir:jit_cache_dir ~swap_at:Tiered.Auto
-      ~on_warning:(fun _ -> ())
-      analysis
+    Tiered.create ~config ~cache_dir:jit_cache_dir ~swap_at:Tiered.Auto analysis
   in
   Asim_jit.Jit.clear_memory_cache ();
   let first, build_s =
@@ -306,7 +296,7 @@ let run_workload ~reps ~cycles ~check_cycles ~jit_cache_dir ~name
   in
   let tiered, tiered_swap = bench_tiered ~reps ~cycles ~jit_cache_dir analysis in
   let warm =
-    if Oracle.available Oracle.Native then
+    if Oracle.available `Native then
       [ bench_tiered_warm ~reps ~cycles ~jit_cache_dir analysis ]
     else []
   in
@@ -513,7 +503,7 @@ let bench_opt_ablation ~reps ~jit_cache_dir ~name (spec : Asim.Spec.t) =
     match List.rev steps with last :: _ -> last.os_flat_ns_per_cycle | [] -> o0_ns
   in
   let native_ns analysis =
-    if not (Oracle.available Oracle.Native) then None
+    if not (Oracle.available `Native) then None
     else begin
       Asim_jit.Jit.clear_memory_cache ();
       let build () =

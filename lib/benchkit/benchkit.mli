@@ -33,8 +33,8 @@ type engine_run = {
       (** the toolchain that produced the engine's code — the probed
           compiler and its version for ["native"], [None] otherwise *)
   domains : int option;
-      (** domain count for the ["par"] row (its default — ASIM_PAR_DOMAINS,
-          else the core count), [None] for single-domain engines *)
+      (** domain count for the ["par"] row (its default, the core count
+          capped at 8), [None] for single-domain engines *)
 }
 
 type profiling = {

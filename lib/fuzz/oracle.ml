@@ -1,65 +1,47 @@
 open Asim_core
 open Asim_sim
 
-type engine =
-  | Interp
-  | Compiled
-  | Unoptimized
-  | Lowered
-  | Flat
-  | FlatFull
-  | Par
-  | Native
-  | Tiered
-  | Buggy
+type engine = [ Asim.engine | `Lowered | `Buggy ]
 
-(* [Tiered] sits after [Native] so a toolchain-equipped campaign's native
-   observation has already populated the in-process plugin memo: the tiered
-   machine then swaps at cycle 0 without spawning a compile domain. *)
+let engine_of_string s : engine option =
+  match String.lowercase_ascii s with
+  | "lowered" | "lower" | "ir" -> Some `Lowered
+  | "buggy" -> Some `Buggy
+  | s -> (Asim.engine_of_string s :> engine option)
+
+(* By name, so every engine takes the same default settings as on the
+   command line.  [tiered] sits after [native] so a toolchain-equipped
+   campaign's native observation has already populated the in-process
+   plugin memo: the tiered machine then swaps at cycle 0 without spawning a
+   compile domain. *)
 let all =
-  [ Interp; Compiled; Unoptimized; Lowered; Flat; FlatFull; Par; Native; Tiered ]
+  List.map
+    (fun name -> Option.get (engine_of_string name))
+    [ "interp"; "compiled"; "unoptimized"; "lowered"; "flat"; "flat-full"; "par";
+      "native"; "tiered" ]
 
-(* [Native] shells out to the host toolchain; a campaign on a box without one
-   should drop the engine (with a warning) rather than abort.  [Tiered] is
-   always available: without a toolchain it degrades to flat-only with the
-   same observables. *)
-let available = function Native -> Asim_jit.Jit.available () | _ -> true
+(* [`Native] shells out to the host toolchain; a campaign on a box without
+   one should drop the engine (with a warning) rather than abort.
+   [`Tiered] is always available: without a toolchain it degrades to
+   flat-only with the same observables. *)
+let available : engine -> bool = function
+  | `Native -> Asim.Jit.available ()
+  | _ -> true
 
 (* Which engines consume the optimized analysis when the oracle runs at
    [-O1]/[-O2].  The reference interpreters/compilers stay on the raw spec so
    a middle-end miscompile shows up as a divergence instead of agreeing with
    itself on both sides. *)
-let optimized_class = function
-  | Flat | FlatFull | Par | Native | Tiered -> true
-  | Interp | Compiled | Unoptimized | Lowered | Buggy -> false
+let optimized_class : engine -> bool = function
+  | `Flat | `FlatFull | `Par _ | `Native | `Tiered _ -> true
+  | `Interp | `Compiled | `Unoptimized | `Lowered | `Buggy -> false
 
-let engine_to_string = function
-  | Interp -> "interp"
-  | Compiled -> "compiled"
-  | Unoptimized -> "unoptimized"
-  | Lowered -> "lowered"
-  | Flat -> "flat"
-  | FlatFull -> "flat-full"
-  | Par -> "par"
-  | Native -> "native"
-  | Tiered -> "tiered"
-  | Buggy -> "buggy"
+let engine_to_string : engine -> string = function
+  | `Lowered -> "lowered"
+  | `Buggy -> "buggy"
+  | #Asim.engine as e -> Asim.engine_to_string e
 
-let engine_of_string s =
-  match String.lowercase_ascii s with
-  | "interp" | "interpreter" | "asim" -> Some Interp
-  | "compiled" | "compile" | "asim2" | "asimii" -> Some Compiled
-  | "unoptimized" | "unopt" -> Some Unoptimized
-  | "lowered" | "lower" | "ir" -> Some Lowered
-  | "flat" -> Some Flat
-  | "flat-full" | "flat_full" | "flatfull" -> Some FlatFull
-  | "par" | "bsp" | "partitioned" -> Some Par
-  | "native" | "jit" -> Some Native
-  | "tiered" | "tier" -> Some Tiered
-  | "buggy" -> Some Buggy
-  | _ -> None
-
-(* The deliberate semantic bug behind the [Buggy] engine: every ALU whose
+(* The deliberate semantic bug behind the [`Buggy] engine: every ALU whose
    function expression is the constant 4 (add) computes 5 (sub) instead. *)
 let inject_bug (spec : Spec.t) =
   let corrupt (c : Component.t) =
@@ -70,33 +52,18 @@ let inject_bug (spec : Spec.t) =
   in
   { spec with Spec.components = List.map corrupt spec.Spec.components }
 
-let build engine ~config (analysis : Asim_analysis.Analysis.t) =
+let build (engine : engine) ~config (analysis : Asim_analysis.Analysis.t) =
   match engine with
-  | Interp -> Asim_interp.Interp.create ~config analysis
-  | Compiled -> Asim_compile.Compile.create ~config analysis
-  | Unoptimized -> Asim_compile.Compile.create ~config ~optimize:false analysis
-  | Lowered -> Loweval.create ~config analysis
-  | Flat -> Asim_flat.Flat.create ~config ~schedule:Asim_flat.Flat.Activity analysis
-  | FlatFull -> Asim_flat.Flat.create ~config ~schedule:Asim_flat.Flat.Full analysis
-  | Par ->
-      (* Domain count from ASIM_PAR_DOMAINS (else the core count) — the CI
-         smoke pins 4 so the BSP path is exercised even on small boxes, and
-         ASIM_PAR_SKEW=1 must make this engine diverge (a must-fail check,
-         like the tiered engine's swap skew). *)
-      Asim_par.Par.create ~config analysis
-  | Native -> Asim_jit.Jit.create ~config analysis
-  | Tiered ->
-      (* The swap policy comes from ASIM_TIERED_SWAP_AT when set (how the
-         swap-point harness forces adversarial handoffs), else [Auto] —
-         correctness must be swap-timing invariant either way.  The
-         no-toolchain warning is silenced: a campaign would repeat it per
-         observation and it is already reported once by the default
-         warner. *)
-      Asim_tiered.Tiered.create ~config ~on_warning:ignore analysis
-  | Buggy ->
+  | `Lowered -> Loweval.create ~config analysis
+  | `Buggy ->
       Asim_compile.Compile.create ~config
         (Asim_analysis.Analysis.analyze
            (inject_bug analysis.Asim_analysis.Analysis.spec))
+  | #Asim.engine as engine ->
+      (* A campaign reports a missing toolchain itself, where it drops
+         native; tiered's own line would repeat it once per process. *)
+      Asim.Tiered.mute_warning ();
+      Asim.machine ~config ~engine analysis
 
 type observation = {
   snapshots : (string * int) list array;

@@ -6,51 +6,38 @@
     runtime errors.  The first engine of the list is the reference; the
     first pair that disagrees yields a {!divergence}. *)
 
-type engine =
-  | Interp  (** the ASIM baseline interpreter *)
-  | Compiled  (** the ASIM II closure compiler, §4.4 optimizations on *)
-  | Unoptimized  (** the closure compiler with the optimizations disabled *)
-  | Lowered  (** the codegen lowering executed directly ({!Loweval}) *)
-  | Flat  (** the flat-kernel engine, activity scheduling on *)
-  | FlatFull  (** the flat-kernel engine, full re-evaluation (ablation) *)
-  | Par
-      (** the partitioned engine ([Asim_par.Par]): the flat kernel split
-          across domains and run bulk-synchronously; domain count from
-          [ASIM_PAR_DOMAINS], and [ASIM_PAR_SKEW=1] plants a lost update
-          this oracle must catch *)
-  | Native
-      (** the native-compiled engine ([Asim_jit.Jit]): spec lowered to an
-          OCaml module, compiled by the host toolchain and Dynlinked in *)
-  | Tiered
-      (** the tiered engine ([Asim_tiered.Tiered]): flat kernel first, with
-          a background-compiled hot-swap to native at a cycle boundary;
-          degrades to flat-only without a toolchain, so it is always
-          available *)
-  | Buggy
-      (** [Compiled] over a deliberately corrupted spec (every constant
-          ALU-function 4/add becomes 5/sub) — a fault-injected engine for
-          exercising the oracle and shrinker end to end *)
+type engine = [ Asim.engine | `Lowered | `Buggy ]
+(** Every {!Asim.engine}, with its own settings, plus two the oracle builds
+    itself: [`Lowered] executes the codegen lowering directly ({!Loweval});
+    [`Buggy] is [`Compiled] over a deliberately corrupted spec (every
+    constant ALU-function 4/add becomes 5/sub) — a fault-injected engine
+    for exercising the oracle and shrinker end to end. *)
 
 val all : engine list
-(** The nine honest engines: [Interp] (the reference), [Compiled],
-    [Unoptimized], [Lowered], [Flat], [FlatFull], [Par], [Native],
-    [Tiered]. *)
+(** The nine honest engines: [`Interp] (the reference), [`Compiled],
+    [`Unoptimized], [`Lowered], [`Flat], [`FlatFull], [`Par] (at
+    {!Asim.Par.default_domains}), [`Native] and [`Tiered] (policy
+    [Auto]). *)
 
 val available : engine -> bool
-(** Whether the engine can run here at all.  Only [Native] can be
+(** Whether the engine can run here at all.  Only [`Native] can be
     unavailable (no OCaml toolchain on PATH); campaign drivers should drop
     unavailable engines with a warning instead of aborting. *)
 
 val engine_of_string : string -> engine option
+(** ["lowered"]/["lower"]/["ir"], ["buggy"], or any {!Asim.engine_of_string}
+    name. *)
 
 val engine_to_string : engine -> string
 
 val build :
   engine -> config:Asim_sim.Machine.config -> Asim_analysis.Analysis.t ->
   Asim_sim.Machine.t
+(** [`Lowered] and [`Buggy] here; every other engine through
+    {!Asim.machine}, with tiered's no-toolchain warning muted. *)
 
 val inject_bug : Asim_core.Spec.t -> Asim_core.Spec.t
-(** The [Buggy] engine's corruption, exposed for tests: constant ALU
+(** The [`Buggy] engine's corruption, exposed for tests: constant ALU
     function add becomes sub.  Specs without a constant-add ALU are returned
     unchanged (the buggy engine then behaves honestly). *)
 

@@ -13,18 +13,7 @@ let level_of_string s =
 
 let level_to_string = function O0 -> "0" | O1 -> "1" | O2 -> "2"
 
-let env_var = "ASIM_OPT"
-
 let skew_env_var = "ASIM_OPT_SKEW"
-
-let env_level () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> O2
-  | Some s -> (
-      match level_of_string s with
-      | Some l -> l
-      | None ->
-          Error.failf Error.Analysis "%s must be 0, 1 or 2 (got %S)" env_var s)
 
 type pass = Constprop | Fuse | Narrow | Cse | Dce | Schedule
 

@@ -25,19 +25,12 @@ val level_of_string : string -> level option
 val level_to_string : level -> string
 (** ["0"], ["1"] or ["2"]. *)
 
-val env_var : string
-(** ["ASIM_OPT"] — the CLI default when [-O] is not given. *)
-
 val skew_env_var : string
 (** ["ASIM_OPT_SKEW"] — set to [1] to plant the deliberate miscompile (CSE
     value reuse across the evaluation-order boundary, realized as a reversed
     combinational order) used by the must-fail oracle checks.  Only takes
     effect when the {!Cse} pass is active and the spec has at least two
     combinational components. *)
-
-val env_level : unit -> level
-(** [ASIM_OPT] when set (raising {!Asim_core.Error.Error} on junk), else
-    {!O2}. *)
 
 type pass =
   | Constprop  (** fold constant components/selector cases, drop dead operands *)

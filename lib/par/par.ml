@@ -3,7 +3,6 @@ open Asim_sim
 module Analysis = Asim_analysis.Analysis
 module Flat = Asim_flat.Flat
 
-let domains_env = "ASIM_PAR_DOMAINS"
 let skew_env = "ASIM_PAR_SKEW"
 
 (* A hard cap on partitions: the process-wide worker pool below never spawns
@@ -11,17 +10,7 @@ let skew_env = "ASIM_PAR_SKEW"
    limit even with the main domain and stray test domains counted. *)
 let max_domains = 16
 
-let default_domains () =
-  (* [Some ""] counts as unset: [Unix.putenv] cannot remove a variable, so
-     an empty value is how this codebase spells "absent". *)
-  match Sys.getenv_opt domains_env with
-  | Some s when String.trim s <> "" -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> min n max_domains
-      | Some _ | None ->
-          Error.failf Error.Analysis "%s must be a positive integer, got %S."
-            domains_env s)
-  | Some _ | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
+let default_domains () = max 1 (min 8 (Domain.recommended_domain_count ()))
 
 (* --- worker pool -------------------------------------------------------- *)
 

@@ -40,11 +40,8 @@
     — the honest par@1 ablation the benchmarks record. *)
 
 val default_domains : unit -> int
-(** [ASIM_PAR_DOMAINS] when set (clamped to 1..16; anything unparsable is
-    an analysis error), otherwise
-    [min 8 (Domain.recommended_domain_count ())]. *)
-
-val domains_env : string
+(** [min 8 (Domain.recommended_domain_count ())]: the domain count a
+    partitioned machine gets when its caller names none. *)
 
 val skew_env : string
 (** Setting [ASIM_PAR_SKEW=1] plants a lost update: the first partition

@@ -9,7 +9,8 @@
     partitioner (GSIM-style, see ROADMAP) consumes.
 
     A profile is wired into an engine at construction time
-    ([Asim.machine ~prof]); with no profile the engines build exactly the
+    ([Asim.profiled], which accepts only the engines that count); with no
+    profile the engines build exactly the
     code they always built, so the profiling-off path costs nothing (the
     zero-allocation assertion in test_flat covers it).  With a profile
     attached the hot path grows by one preallocated-int-array increment per
@@ -115,8 +116,8 @@ val hot : ?top:int -> ?source:string -> t -> row list
 val cost_model : t -> (string * float) list
 (** The measured per-combinational-component cost model
     ([evals x max 1 words], memories excluded) in the shape the partitioned
-    engine's balancer consumes ([Asim.machine ~par_costs], [asim run
-    --par-profile]): profile a spec under the flat engine once, then feed
+    engine's balancer consumes (the [costs] of an [Asim] [`Par] engine,
+    [asim run --par-profile]): profile a spec under the flat engine once, then feed
     the result back so partition loads reflect observed activity instead of
     static program size. *)
 

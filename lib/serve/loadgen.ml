@@ -22,7 +22,7 @@ let default_config =
       | Some s -> s
       | None -> "# counter\n= 8\ncount* inc .\nA inc 4 count 1\nM count 0 inc 1 1\n.\n");
     cycles = None;
-    engine = Asim.Compiled;
+    engine = `Compiled;
     scrape = true;
   }
 

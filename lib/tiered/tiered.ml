@@ -36,19 +36,7 @@ let policy_to_string = function
   | Never -> "never"
   | At n -> string_of_int n
 
-let swap_at_env = "ASIM_TIERED_SWAP_AT"
 let skew_env = "ASIM_TIERED_SKEW"
-
-let env_policy () =
-  match Sys.getenv_opt swap_at_env with
-  | None | Some "" -> None
-  | Some s -> (
-      match policy_of_string s with
-      | Some p -> Some p
-      | None ->
-          Error.failf Error.Runtime
-            "bad %s value %S (expected a cycle number, \"auto\" or \"never\")"
-            swap_at_env s)
 
 (* Test-only: mis-number the native engine's first cycle by one at the swap,
    so the lockstep harness (and CI's must-fail leg) can prove it detects a
@@ -117,24 +105,21 @@ let describe_exn = function
    machine: a fuzz campaign or batch run over many specs stays readable. *)
 let warned_unavailable = Atomic.make false
 
-let default_warn msg =
+let warn_unavailable msg =
   if not (Atomic.exchange warned_unavailable true) then
     prerr_endline ("asim: " ^ msg)
+
+let mute_warning () = Atomic.set warned_unavailable true
 
 (* --- the engine -------------------------------------------------------------- *)
 
 let create_status ?(config = Machine.default_config) ?(tracer = Tracer.null)
-    ?cache_dir ?swap_at ?(on_warning = default_warn) ?prof
+    ?cache_dir ?(swap_at = Auto) ?prof
     (analysis : Analysis.t) =
-  let policy =
-    match swap_at with
-    | Some p -> p
-    | None -> ( match env_policy () with Some p -> p | None -> Auto)
-  in
   (* A profiled run is pinned to the flat kernel: the native plugin carries
      no counters, so a hot-swap would silently stop the profile mid-run.
      Attribution beats speed when the caller asked to measure. *)
-  let policy = match prof with None -> policy | Some _ -> Never in
+  let policy = match prof with None -> swap_at | Some _ -> Never in
   let skew = skew_requested () in
   let flat, st = Flat.create_exposed ~config ~tracer ?prof analysis in
   (match prof with
@@ -174,7 +159,7 @@ let create_status ?(config = Machine.default_config) ?(tracer = Tracer.null)
   | Auto | At _ ->
       (if not (Jit.available ()) then begin
          state := Unavailable;
-         on_warning
+         warn_unavailable
            "tiered engine: no OCaml toolchain answered on PATH — running on \
             the flat kernel for the whole run (swap=unavailable)";
          Tracer.span_at tracer "tiered.swap" ~ts:(Clock.now ()) ~dur:0.0
@@ -286,5 +271,5 @@ let create_status ?(config = Machine.default_config) ?(tracer = Tracer.null)
   in
   (machine, status)
 
-let create ?config ?tracer ?cache_dir ?swap_at ?on_warning ?prof analysis =
-  fst (create_status ?config ?tracer ?cache_dir ?swap_at ?on_warning ?prof analysis)
+let create ?config ?tracer ?cache_dir ?swap_at ?prof analysis =
+  fst (create_status ?config ?tracer ?cache_dir ?swap_at ?prof analysis)

@@ -38,13 +38,10 @@
     already compiled, [wait] when a forced swap blocked on the compile)
     and [outcome] ([swapped], [failed] or [unavailable]) args.
 
-    {b Test hooks.}  [ASIM_TIERED_SWAP_AT] (a cycle number, [auto], or
-    [never]) sets the default swap policy for machines created without an
-    explicit [swap_at] — this is how the CLI, batch jobs and CI force a
-    deterministic handoff.  [ASIM_TIERED_SKEW=1] deliberately mis-numbers
-    the native engine's first cycle by one at the swap — a planted
-    off-by-one that the lockstep harness (and CI's must-fail check) must
-    catch; never set it outside tests. *)
+    {b Test hook.}  [ASIM_TIERED_SKEW=1] deliberately mis-numbers the
+    native engine's first cycle by one at the swap — a planted off-by-one
+    that the lockstep harness (and CI's must-fail check) must catch; never
+    set it outside tests. *)
 
 (** When to hand off from the flat kernel to the native engine. *)
 type policy =
@@ -98,16 +95,13 @@ val create_status :
   ?tracer:Asim_obs.Tracer.t ->
   ?cache_dir:string ->
   ?swap_at:policy ->
-  ?on_warning:(string -> unit) ->
   ?prof:Asim_prof.Prof.t ->
   Asim_analysis.Analysis.t ->
   Asim_sim.Machine.t * (unit -> status)
 (** Build a tiered machine plus an inspection function reporting which
     engine is executing and how the swap resolved.  [swap_at] defaults to
-    [ASIM_TIERED_SWAP_AT] when set (raising [Asim_core.Error.Error] on a
-    malformed value), else [Auto].  [on_warning] receives the single
-    no-toolchain warning line (default: stderr, once per process).
-    [cache_dir] routes the background compile's artifact cache exactly as
+    [Auto].  Without a toolchain the first machine of the process warns
+    once on stderr (see {!mute_warning}).  [cache_dir] routes the background compile's artifact cache exactly as
     for {!Asim_jit.Jit.create}.
 
     [prof] attaches an {!Asim_prof.Prof} profile {e and pins the run to
@@ -121,8 +115,12 @@ val create :
   ?tracer:Asim_obs.Tracer.t ->
   ?cache_dir:string ->
   ?swap_at:policy ->
-  ?on_warning:(string -> unit) ->
   ?prof:Asim_prof.Prof.t ->
   Asim_analysis.Analysis.t ->
   Asim_sim.Machine.t
 (** {!create_status} without the inspection function. *)
+
+val mute_warning : unit -> unit
+(** Drop the no-toolchain warning for the rest of the process, for callers
+    that report a missing toolchain themselves (the fuzz oracle, the bench
+    harness). *)

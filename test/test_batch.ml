@@ -65,7 +65,7 @@ let test_json_accessors () =
 
 let test_cache_key_stable () =
   let spec = Asim.Parser.parse_string counter in
-  let key s = Runner.cache_key ~engine:Asim.Compiled ~optimize:true s in
+  let key s = Runner.cache_key ~opt:Asim.Opt.O2 ~keep_all:false s in
   (* Pretty-print round trip: same spec, same key. *)
   let roundtripped = Asim.Parser.parse_string (Asim.Pretty.spec spec) in
   Alcotest.(check string) "stable across pretty-print round trip" (key spec)
@@ -73,11 +73,12 @@ let test_cache_key_stable () =
   (* Reformatting the source (comments, blank lines) changes nothing. *)
   let reformatted = Asim.Parser.parse_string counter_reformatted in
   Alcotest.(check string) "stable across reformatting" (key spec) (key reformatted);
-  (* Engine and optimization level are part of the key. *)
-  Alcotest.(check bool) "engine qualifies the key" true
-    (key spec <> Runner.cache_key ~engine:Asim.Interpreter ~optimize:true spec);
-  Alcotest.(check bool) "optimize qualifies the key" true
-    (key spec <> Runner.cache_key ~engine:Asim.Compiled ~optimize:false spec)
+  (* The cached post-middle-end analysis depends on the level and on
+     whether every component was pinned live, and on nothing else. *)
+  Alcotest.(check bool) "level qualifies the key" true
+    (key spec <> Runner.cache_key ~opt:Asim.Opt.O0 ~keep_all:false spec);
+  Alcotest.(check bool) "keep-all qualifies the key" true
+    (key spec <> Runner.cache_key ~opt:Asim.Opt.O2 ~keep_all:true spec)
 
 (* --- cache ------------------------------------------------------------------ *)
 
@@ -248,10 +249,9 @@ let test_pool_sync_is_immediate () =
 
 (* --- runner ----------------------------------------------------------------- *)
 
-let job ?id ?(engine = Asim.Compiled) ?(optimize = true) ?cycles ?(inputs = [])
-    ?(want = [ Proto.Outputs ]) ?timeout_s source =
-  { Proto.id; trace_id = None; source; engine; optimize; opt = None; cycles; inputs; want;
-    timeout_s }
+let job ?id ?(engine = `Compiled) ?cycles ?(inputs = []) ?(want = [ Proto.Outputs ])
+    ?timeout_s source =
+  { Proto.id; trace_id = None; source; engine; opt = None; cycles; inputs; want; timeout_s }
 
 let test_runner_cached_equals_fresh () =
   (* The same job through a warm cache must render the identical result line
@@ -421,6 +421,47 @@ let test_metrics_prometheus_names () =
       "# TYPE asim_cache_hits gauge";
     ]
 
+(* The cache holds the analysis, which no engine choice changes: the same
+   spec on compiled, flat and compiled without the §4.4 optimizations is
+   one entry. *)
+let test_process_cache_shared_across_engines () =
+  let t = Runner.create () in
+  let n, out =
+    drive t ~jobs:1
+      [
+        {|{"example":"stack-machine-sieve","engine":"compiled"}|};
+        {|{"example":"stack-machine-sieve","engine":"flat"}|};
+        {|{"example":"stack-machine-sieve","engine":"compiled","optimize":false}|};
+        {|{"example":"stack-machine-sieve","engine":"flat"}|};
+      ]
+  in
+  Alcotest.(check int) "all ran" 4 n;
+  List.iter
+    (fun line -> Alcotest.(check bool) "ok" true (contains line {|"status":"ok"|}))
+    out;
+  let s = (Runner.summary t ~wall_s:1.0).Metrics.cache in
+  Alcotest.(check int) "one miss" 1 s.Cache.misses;
+  Alcotest.(check int) "three hits" 3 s.Cache.hits;
+  Alcotest.(check int) "one entry" 1 s.Cache.entries
+
+(* Engines without counters answer a profile request with a structured
+   error, not a crash. *)
+let test_process_profile_unsupported () =
+  let t = Runner.create () in
+  let _, out =
+    drive t ~jobs:1
+      [
+        {|{"example":"counter","engine":"native","want":["profile"]}|};
+        {|{"example":"counter","engine":"par","want":["profile"]}|};
+      ]
+  in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) "error status" true (contains line {|"status":"error"|});
+      Alcotest.(check bool) "says why" true
+        (contains line "does not support profiling"))
+    out
+
 let test_process_cache_hit_rate () =
   (* 64 identical jobs: 1 miss, 63 hits — the >90% acceptance bar. *)
   let t = Runner.create () in
@@ -466,6 +507,10 @@ let () =
           Alcotest.test_case "byte-identical across jobs" `Quick
             test_process_byte_identical_across_jobs;
           Alcotest.test_case "cache hit rate" `Quick test_process_cache_hit_rate;
+          Alcotest.test_case "cache shared across engines" `Quick
+            test_process_cache_shared_across_engines;
+          Alcotest.test_case "profile on a counterless engine" `Quick
+            test_process_profile_unsupported;
         ] );
       ( "metrics",
         [

@@ -113,6 +113,22 @@ let test_run_engines_agree () =
       Alcotest.(check string) "same trace" interp compiled;
       Alcotest.(check string) "flat trace" interp flat)
 
+(* The two ablation engines are real -e names: the closure compiler without
+   its §4.4 optimizations and the flat kernel without activity scheduling
+   trace the sieve exactly like their optimized forms. *)
+let test_run_ablation_engines () =
+  with_spec Asim.Specs.stack_machine_sieve (fun path ->
+      let trace engine =
+        let code, text =
+          run_cli (Printf.sprintf "run %s -e %s" (Filename.quote path) engine)
+        in
+        if code <> 0 then Alcotest.failf "-e %s: exit %d:\n%s" engine code text;
+        text
+      in
+      Alcotest.(check string) "unoptimized = compiled" (trace "compiled")
+        (trace "unoptimized");
+      Alcotest.(check string) "flat-full = flat" (trace "flat") (trace "flat-full"))
+
 let test_bench () =
   let out = Filename.temp_file "asim-cli" ".json" in
   check_ok "bench"
@@ -256,10 +272,27 @@ let test_profile_counters () =
                 (str "name", num "evals"))
               comps
       in
-      let flat_full = evals_of "--schedule full" in
+      let flat_full = evals_of "-e flat-full" in
       let interp = evals_of "-e interp" in
       Alcotest.(check (list (pair string int)))
         "flat(full) evals match interp recount" interp flat_full)
+
+(* Engines without counters refuse --profile at run time, with the reason,
+   before simulating anything. *)
+let test_profile_unsupported_engines () =
+  with_spec counter (fun path ->
+      List.iter
+        (fun (engine, reason) ->
+          let code, text =
+            run_cli
+              (Printf.sprintf "run %s --profile -e %s" (Filename.quote path) engine)
+          in
+          Alcotest.(check int) (engine ^ " exit") 1 code;
+          Alcotest.(check bool) (engine ^ " says why") true (contains text reason))
+        [
+          ("native", "the native engine does not support profiling");
+          ("par", "the partitioned engine does not support profiling");
+        ])
 
 let test_coverage () =
   with_spec counter (fun path ->
@@ -656,6 +689,20 @@ let test_tiered_forced_swap () =
               (stats_field stats "executing_engine")
           end))
 
+(* The engine settings read from the environment are checked where they
+   are read: a malformed value is a usage error naming the variable. *)
+let test_malformed_engine_env () =
+  with_spec counter (fun path ->
+      List.iter
+        (fun (var, engine) ->
+          let code, text =
+            run_cli ~env:(var ^ "=sideways")
+              (Printf.sprintf "run %s -e %s" (Filename.quote path) engine)
+          in
+          Alcotest.(check int) (var ^ " exit") 2 code;
+          Alcotest.(check bool) (var ^ " named") true (contains text var))
+        [ ("ASIM_TIERED_SWAP_AT", "tiered"); ("ASIM_PAR_DOMAINS", "par") ])
+
 (* Without a toolchain on PATH, `-e tiered` must run to completion on the
    flat kernel, warn exactly once (never per cycle), and record
    swap=unavailable. *)
@@ -753,6 +800,7 @@ let () =
           Alcotest.test_case "run trace" `Quick test_run_trace;
           Alcotest.test_case "run stats" `Quick test_run_stats;
           Alcotest.test_case "engines agree" `Quick test_run_engines_agree;
+          Alcotest.test_case "ablation engines" `Quick test_run_ablation_engines;
           Alcotest.test_case "bench smoke" `Quick test_bench;
           Alcotest.test_case "fault injection" `Quick test_run_fault;
           Alcotest.test_case "vcd output" `Quick test_run_vcd;
@@ -764,6 +812,8 @@ let () =
           Alcotest.test_case "asm" `Quick test_asm;
           Alcotest.test_case "profile" `Quick test_profile;
           Alcotest.test_case "profile counters" `Quick test_profile_counters;
+          Alcotest.test_case "profile on native or par" `Quick
+            test_profile_unsupported_engines;
           Alcotest.test_case "interactive" `Quick test_interactive;
           Alcotest.test_case "wavediff" `Quick test_wavediff;
           Alcotest.test_case "coverage" `Quick test_coverage;
@@ -786,6 +836,7 @@ let () =
           Alcotest.test_case "fuzz trace" `Quick test_fuzz_trace;
           Alcotest.test_case "serve metrics request" `Quick test_serve_metrics_request;
           Alcotest.test_case "tiered forced swap" `Quick test_tiered_forced_swap;
+          Alcotest.test_case "malformed engine env" `Quick test_malformed_engine_env;
           Alcotest.test_case "tiered without a toolchain" `Quick
             test_tiered_no_toolchain;
           Alcotest.test_case "genspec deterministic" `Quick test_genspec_deterministic;

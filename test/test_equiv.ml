@@ -30,7 +30,7 @@ let arbitrary_spec_wide = QCheck.make ~print:Pretty.spec (Gen.spec wide)
    differential tests (test_jit.ml, test_tiered.ml) and by test_flat's
    fixed-seed sweep through [Oracle.all]. *)
 let fast_engines =
-  List.filter (fun e -> e <> Oracle.Native && e <> Oracle.Tiered) Oracle.all
+  List.filter (function `Native | `Tiered _ -> false | _ -> true) Oracle.all
 
 let no_divergence spec =
   match Oracle.check ~engines:fast_engines spec with
@@ -85,7 +85,7 @@ let gate_equivalence_test =
 (* Determinism: observing the same engine twice gives the same observation. *)
 let determinism_test =
   QCheck.Test.make ~name:"simulation is deterministic" ~count:100 arbitrary_spec
-    (fun spec -> Oracle.observe Oracle.Compiled spec = Oracle.observe Oracle.Compiled spec)
+    (fun spec -> Oracle.observe `Compiled spec = Oracle.observe `Compiled spec)
 
 (* The pretty-printed spec parses back to the same structure. *)
 let roundtrip_structure_test =
@@ -99,7 +99,7 @@ let roundtrip_behaviour_test =
     arbitrary_spec
     (fun spec ->
       let reparsed = Asim_syntax.Parser.parse_string (Pretty.spec spec) in
-      Oracle.observe Oracle.Compiled spec = Oracle.observe Oracle.Compiled reparsed)
+      Oracle.observe `Compiled spec = Oracle.observe `Compiled reparsed)
 
 (* --- deterministic-seed properties (alcotest, no QCheck randomness) -------- *)
 
@@ -125,14 +125,14 @@ let test_fixed_seed_roundtrip () =
 (* The buggy engine (constant add computes sub) is caught by the oracle and
    the shrinker reduces the witness to a handful of components. *)
 let test_injected_bug_is_caught_and_shrunk () =
-  let engines = Oracle.all @ [ Oracle.Buggy ] in
+  let engines = Oracle.all @ [ `Buggy ] in
   (* A spec the corruption certainly perturbs: an adder fed by a counter. *)
   let source = "#adder\n= 8\ncount inc sum .\nA inc 4 count 1\nA sum 4 count 3\nM count 0 inc 1 1\n.\n" in
   let spec = Asim_syntax.Parser.parse_string source in
   match Oracle.check ~engines spec with
   | None -> Alcotest.fail "oracle missed the injected add->sub bug"
   | Some d ->
-      Alcotest.(check bool) "buggy engine is the culprit" true (d.Oracle.engine_b = Oracle.Buggy);
+      Alcotest.(check bool) "buggy engine is the culprit" true (d.Oracle.engine_b = `Buggy);
       let keep s = Oracle.check ~engines s <> None in
       let shrunk = Shrink.spec ~keep spec in
       let n = List.length shrunk.Spec.components in
@@ -144,7 +144,7 @@ let test_injected_bug_is_caught_and_shrunk () =
 (* The shrinker never returns a spec that stopped diverging or does not
    analyze. *)
 let test_shrink_preserves_property () =
-  let engines = fast_engines @ [ Oracle.Buggy ] in
+  let engines = fast_engines @ [ `Buggy ] in
   let keep s = Oracle.check ~engines s <> None in
   let checked = ref 0 in
   for index = 0 to 99 do

@@ -85,8 +85,8 @@ let test_lockstep_tinyc () =
    The full QCheck campaign lives in test_equiv.ml; this pins the flat
    engine's membership in the oracle regardless of that suite's config. *)
 let test_oracle_generated () =
-  assert (List.mem Oracle.Flat Oracle.all);
-  assert (List.mem Oracle.FlatFull Oracle.all);
+  assert (List.mem `Flat Oracle.all);
+  assert (List.mem `FlatFull Oracle.all);
   for index = 0 to 19 do
     let spec = Asim_fuzz.Gen.(spec_at default_size) ~seed:0xf1a7 ~index in
     match Oracle.check ~cycles:40 spec with

@@ -280,11 +280,11 @@ let test_chunked_tiered_swap =
    access statistics and runtime errors. *)
 let test_oracle_examples =
   if_toolchain (fun () ->
-      assert (List.mem Oracle.Native Oracle.all);
+      assert (List.mem `Native Oracle.all);
       List.iter
         (fun (name, source) ->
           let spec = Asim.Parser.parse_string source in
-          match Oracle.check ~engines:[ Oracle.Interp; Oracle.Native ] spec with
+          match Oracle.check ~engines:[ `Interp; `Native ] spec with
           | None -> ()
           | Some d ->
               Alcotest.failf "example %s diverged: %s" name
@@ -296,7 +296,7 @@ let test_oracle_generated =
       for index = 0 to 11 do
         let spec = Asim_fuzz.Gen.(spec_at default_size) ~seed:0x1217 ~index in
         match
-          Oracle.check ~cycles:40 ~engines:[ Oracle.Interp; Oracle.Native ] spec
+          Oracle.check ~cycles:40 ~engines:[ `Interp; `Native ] spec
         with
         | None -> ()
         | Some d ->

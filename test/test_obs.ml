@@ -61,8 +61,7 @@ let test_batch_job_deterministic_under_mock_clock () =
           Asim_batch.Proto.id = Some "frozen";
           trace_id = None;
           source = Asim_batch.Proto.Inline counter_spec;
-          engine = Asim.Compiled;
-          optimize = true;
+          engine = `Compiled;
           cycles = None;
           inputs = [];
           want = [ Asim_batch.Proto.Outputs ];

@@ -16,6 +16,8 @@ let with_env var value f =
     ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
     f
 
+let par = Option.get (Asim.engine_of_string "par")
+
 (* Observe one engine over [spec]: per-cycle snapshots of every component
    (dead names masked to a fixed marker), the trace stream, I/O events,
    final cells, statistics and any runtime error. *)
@@ -77,7 +79,7 @@ let observations ?(faults = []) ~passes ~engine spec =
   let keep = Fault.targets faults in
   let r = Opt.run_result ~passes ~keep analysis in
   let reference =
-    observe ~faults ~engine:Asim.Interpreter ~dead:r.Opt.dead analysis spec
+    observe ~faults ~engine:`Interp ~dead:r.Opt.dead analysis spec
   in
   let candidate = observe ~faults ~engine ~dead:r.Opt.dead r.Opt.analysis spec in
   (reference, candidate)
@@ -115,8 +117,8 @@ let test_per_pass_equivalence () =
       let spec = gen_spec ~wide ~seed ~index in
       List.iter
         (fun passes ->
-          check_equiv ~passes ~engine:Asim.FlatKernel spec;
-          check_equiv ~passes ~engine:Asim.Compiled spec)
+          check_equiv ~passes ~engine:`Flat spec;
+          check_equiv ~passes ~engine:`Compiled spec)
         pass_prefixes
     done
   done
@@ -127,8 +129,8 @@ let test_equivalence_examples () =
       let spec = Parser.parse_string source in
       List.iter
         (fun passes ->
-          check_equiv ~passes ~engine:Asim.FlatKernel spec;
-          check_equiv ~passes ~engine:Asim.Partitioned spec)
+          check_equiv ~passes ~engine:`Flat spec;
+          check_equiv ~passes ~engine:par spec)
         [ Opt.all_passes; [ Opt.Constprop; Opt.Fuse; Opt.Narrow ] ])
     [ Specs.counter; Specs.traffic_light; Specs.divider ]
 
@@ -137,8 +139,8 @@ let test_structured_specs () =
   let pipe = Gen.pipeline ~cycles:12 ~cores:5 ~depth:6 ~seed:3 () in
   List.iter
     (fun spec ->
-      check_equiv ~passes:Opt.all_passes ~engine:Asim.FlatKernel spec;
-      check_equiv ~passes:Opt.all_passes ~engine:Asim.Partitioned spec)
+      check_equiv ~passes:Opt.all_passes ~engine:`Flat spec;
+      check_equiv ~passes:Opt.all_passes ~engine:par spec)
     [ mesh; pipe ]
 
 (* Fault plans force kept (and width-untrusted) components: observables
@@ -158,7 +160,7 @@ let test_faults_preserved () =
           Fault.stuck_at ~first_cycle:11 target 5;
         ]
       in
-      check_equiv ~faults ~passes:Opt.all_passes ~engine:Asim.FlatKernel spec
+      check_equiv ~faults ~passes:Opt.all_passes ~engine:`Flat spec
     done
   done
 
@@ -208,10 +210,10 @@ let test_o0_identity () =
    stages, so the reversed order is guaranteed to read stale values. *)
 let test_skew_must_fail () =
   let spec = Gen.pipeline ~cycles:12 ~cores:3 ~depth:5 ~seed:1 () in
-  check_equiv ~passes:Opt.all_passes ~engine:Asim.FlatKernel spec;
+  check_equiv ~passes:Opt.all_passes ~engine:`Flat spec;
   with_env Opt.skew_env_var "1" (fun () ->
       let reference, candidate =
-        observations ~passes:Opt.all_passes ~engine:Asim.FlatKernel spec
+        observations ~passes:Opt.all_passes ~engine:`Flat spec
       in
       if reference = candidate then
         Alcotest.fail
@@ -220,28 +222,17 @@ let test_skew_must_fail () =
 (* The skew rides the oracle too (the CI must-fail path). *)
 let test_skew_oracle () =
   let spec = Gen.pipeline ~cycles:10 ~cores:2 ~depth:4 ~seed:2 () in
-  (match Oracle.check ~opt:Opt.O2 ~engines:[ Oracle.Interp; Oracle.Flat ] spec with
+  (match Oracle.check ~opt:Opt.O2 ~engines:[ `Interp; `Flat ] spec with
   | None -> ()
   | Some d ->
       Alcotest.failf "unexpected divergence without skew: %s"
         (Oracle.divergence_to_string d));
   with_env Opt.skew_env_var "1" (fun () ->
       match
-        Oracle.check ~opt:Opt.O2 ~engines:[ Oracle.Interp; Oracle.Flat ] spec
+        Oracle.check ~opt:Opt.O2 ~engines:[ `Interp; `Flat ] spec
       with
       | Some _ -> ()
       | None -> Alcotest.fail "oracle missed the planted skew")
-
-(* Levels honour the env default and reject junk. *)
-let test_env_level () =
-  with_env Opt.env_var "" (fun () ->
-      Alcotest.(check string) "default" "2" (Opt.level_to_string (Opt.env_level ())));
-  with_env Opt.env_var "1" (fun () ->
-      Alcotest.(check string) "env" "1" (Opt.level_to_string (Opt.env_level ())));
-  with_env Opt.env_var "chaos" (fun () ->
-      match Opt.env_level () with
-      | exception Error.Error _ -> ()
-      | _ -> Alcotest.fail "junk ASIM_OPT accepted")
 
 (* The optimizer actually does something on the structured workloads: the
    flat program shrinks at O2 (honest floor: strictly smaller). *)
@@ -275,6 +266,5 @@ let () =
         [
           Alcotest.test_case "skew must-fail" `Quick test_skew_must_fail;
           Alcotest.test_case "skew oracle" `Quick test_skew_oracle;
-          Alcotest.test_case "env level" `Quick test_env_level;
         ] );
     ]

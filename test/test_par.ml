@@ -409,7 +409,7 @@ let test_genspec_passes_oracle () =
     (fun spec ->
       match
         Oracle.check ~cycles:30
-          ~engines:[ Oracle.Interp; Oracle.Flat; Oracle.Par ]
+          ~engines:[ `Interp; `Flat; Option.get (Oracle.engine_of_string "par") ]
           spec
       with
       | None -> ()

@@ -174,20 +174,16 @@ let test_profiled_step_zero_alloc () =
     Alcotest.failf "profiled flat step allocated %.0f minor words over 2000 cycles"
       delta
 
-(* The native engine's generated plugin carries no counters; asking for a
-   profiled native machine is a structured runtime error, and a profiled
-   tiered machine pins itself to the instrumented flat kernel instead of
-   swapping from under the counters. *)
+(* A profiled native or par machine does not type-check ([Asim.profiled]
+   takes counting engines only; test_cli covers the run-time refusal of
+   [-e native --profile]).  A profiled tiered machine pins itself to the
+   instrumented flat kernel instead of swapping from under the counters. *)
 let test_engine_dispatch () =
   let analysis = sieve_analysis () in
   let prof = Prof.create analysis in
-  (match
-     Asim.machine ~config:quiet ~engine:Asim.Native ~prof analysis
-   with
-  | (_ : Machine.t) -> Alcotest.fail "native accepted a profile"
-  | exception Error.Error { phase = Error.Runtime; _ } -> ());
-  let prof = Prof.create analysis in
-  let m = Asim.machine ~config:quiet ~engine:Asim.TieredEngine ~prof analysis in
+  let m =
+    Asim.profiled ~config:quiet ~engine:(`Tiered Asim.Tiered.Auto) prof analysis
+  in
   Machine.run m ~cycles:100;
   Prof.finalize prof;
   Alcotest.(check string) "tiered pins to flat" "tiered(flat-pinned)"

@@ -298,10 +298,29 @@ let test_vcd_parse_errors () =
 (* --- engine dispatch ----------------------------------------------------------- *)
 
 let test_engine_names () =
-  Alcotest.(check bool) "asim" true (engine_of_string "asim" = Some Interpreter);
-  Alcotest.(check bool) "ASIM2" true (engine_of_string "ASIM2" = Some Compiled);
+  Alcotest.(check bool) "asim" true (engine_of_string "asim" = Some `Interp);
+  Alcotest.(check bool) "ASIM2" true (engine_of_string "ASIM2" = Some `Compiled);
   Alcotest.(check bool) "unknown" true (engine_of_string "verilog" = None);
-  Alcotest.(check string) "to_string" "interpreter" (engine_to_string Interpreter)
+  Alcotest.(check string) "to_string" "interp" (engine_to_string `Interp);
+  (* One table: every alias the -e table and the oracle's table accepted,
+     each engine printing the spelling that parses back to it. *)
+  List.iter
+    (fun (alias, printed) ->
+      match engine_of_string alias with
+      | Some e ->
+          Alcotest.(check string) alias printed (engine_to_string e);
+          Alcotest.(check bool) (printed ^ " parses back") true
+            (engine_of_string printed = Some e)
+      | None -> Alcotest.failf "alias %s rejected" alias)
+    [
+      ("interpreter", "interp"); ("compile", "compiled"); ("asimii", "compiled");
+      ("unoptimized", "unoptimized"); ("unopt", "unoptimized");
+      ("flat-kernel", "flat"); ("flatkernel", "flat"); ("flat-full", "flat-full");
+      ("flat_full", "flat-full"); ("FlatFull", "flat-full"); ("jit", "native");
+      ("tier", "tiered"); ("bsp", "par"); ("partitioned", "par");
+    ];
+  Alcotest.(check bool) "tiered defaults to auto" true
+    (engine_of_string "tiered" = Some (`Tiered Tiered.Auto))
 
 let test_run_string_uses_spec_cycles () =
   let m = run_string ~config:Machine.quiet_config Specs.counter in

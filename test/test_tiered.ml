@@ -51,16 +51,14 @@ let toolchain = Jit.available ()
 
 let if_toolchain f () = if toolchain then f ()
 
-(* Scoped environment override.  An empty value is how this codebase spells
-   "unset" (the engine treats [""] like an absent variable). *)
+(* Scoped environment override, for the skew switch and the artifact
+   cache path.  An empty value is how this codebase spells "unset". *)
 let with_env var value f =
   let old = Sys.getenv_opt var in
   Unix.putenv var value;
   Fun.protect
     ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
     f
-
-let swap_env = "ASIM_TIERED_SWAP_AT"
 
 (* ------------------------------------------------------------------ *)
 (* The swap-point lockstep harness                                    *)
@@ -70,29 +68,22 @@ let swap_env = "ASIM_TIERED_SWAP_AT"
    tiered must agree with it on everything.  [Native] before [Tiered] warms
    the in-process plugin memo, so the tiered observation swaps without
    spawning a compile domain. *)
-let lineup () =
-  Oracle.Flat :: (if toolchain then [ Oracle.Native ] else []) @ [ Oracle.Tiered ]
+let lineup swap : Oracle.engine list =
+  (`Flat :: (if toolchain then [ `Native ] else [])) @ [ `Tiered swap ]
 
 let check_at ~what ~cycles spec swap =
-  with_env swap_env swap (fun () ->
-      match Oracle.check ~cycles ~engines:(lineup ()) spec with
-      | None -> ()
-      | Some d ->
-          Alcotest.failf "%s, swap at %s: %s" what swap
-            (Oracle.divergence_to_string d))
+  match Oracle.check ~cycles ~engines:(lineup swap) spec with
+  | None -> ()
+  | Some d ->
+      Alcotest.failf "%s, swap at %s: %s" what (Tiered.policy_to_string swap)
+        (Oracle.divergence_to_string d)
 
 (* The adversarial swap points for an [n]-cycle run: the very first
    boundary, the second, the middle, the last boundary before the run ends,
    one past the end (the forced swap never fires: the run must still
    terminate on flat), and an explicit [never]. *)
 let swap_points ~cycles =
-  [
-    "0"; "1";
-    string_of_int (cycles / 2);
-    string_of_int (cycles - 1);
-    string_of_int cycles;
-    "never";
-  ]
+  Tiered.[ At 0; At 1; At (cycles / 2); At (cycles - 1); At cycles; Never ]
 
 let sweep ~what ~cycles spec =
   List.iter (check_at ~what ~cycles spec) (swap_points ~cycles)
@@ -153,7 +144,7 @@ let test_swap_mid_io () =
           check_at
             ~what:(Printf.sprintf "generated spec %d mid-I/O" index)
             ~cycles:24 spec
-            (string_of_int ((first + last + 1) / 2))
+            (Tiered.At ((first + last + 1) / 2))
         end
     | _ -> ()
   done;
@@ -167,7 +158,7 @@ let test_auto_policy_examples () =
   List.iter
     (fun (name, source) ->
       let spec = Asim.Parser.parse_string source in
-      match Oracle.check ~cycles:120 ~engines:(lineup ()) spec with
+      match Oracle.check ~cycles:120 ~engines:(lineup Tiered.Auto) spec with
       | None -> ()
       | Some d ->
           Alcotest.failf "example %s diverged: %s" name
@@ -211,15 +202,11 @@ let test_fault_across_swap =
 let test_skew_is_caught =
   if_toolchain (fun () ->
       with_env "ASIM_TIERED_SKEW" "1" (fun () ->
-          with_env swap_env "3" (fun () ->
-              let spec = Asim.Parser.parse_string counter in
-              match
-                Oracle.check ~engines:[ Oracle.Flat; Oracle.Tiered ] spec
-              with
-              | Some _ -> ()
-              | None ->
-                  Alcotest.fail
-                    "harness failed to catch a deliberately skewed handoff")))
+          let spec = Asim.Parser.parse_string counter in
+          match Oracle.check ~engines:[ `Flat; `Tiered (Tiered.At 3) ] spec with
+          | Some _ -> ()
+          | None ->
+              Alcotest.fail "harness failed to catch a deliberately skewed handoff"))
 
 (* ------------------------------------------------------------------ *)
 (* Status, spans, and policy plumbing                                 *)
@@ -271,7 +258,7 @@ let test_never_policy () =
   Machine.run m ~cycles:8;
   Alcotest.(check bool) "disabled" true ((status ()).Tiered.state = Tiered.Disabled);
   Alcotest.(check string) "stays on flat" "flat" (status ()).Tiered.engine;
-  let flat = Asim.run_string ~config:quiet ~engine:Asim.FlatKernel counter in
+  let flat = Asim.run_string ~config:quiet ~engine:`Flat counter in
   Alcotest.(check int) "same result as flat" (flat.Machine.read "count")
     (m.Machine.read "count")
 
@@ -359,20 +346,6 @@ let test_policy_strings () =
         (Tiered.policy_of_string (Tiered.policy_to_string p) = Some p))
     [ Tiered.Auto; Tiered.Never; Tiered.At 7 ]
 
-let test_malformed_env_rejected () =
-  with_env swap_env "sideways" (fun () ->
-      let analysis = Asim.load_string counter in
-      match Tiered.create ~config:quiet ~cache_dir analysis with
-      | exception Asim.Error.Error { phase = Asim.Error.Runtime; message; _ } ->
-          Alcotest.(check bool) "names the variable" true
-            (let needle = swap_env in
-             let nl = String.length needle and hl = String.length message in
-             let rec go i =
-               i + nl <= hl && (String.sub message i nl = needle || go (i + 1))
-             in
-             go 0)
-      | _ -> Alcotest.fail "malformed ASIM_TIERED_SWAP_AT accepted")
-
 (* ------------------------------------------------------------------ *)
 (* QCheck: swap timing is observably irrelevant                       *)
 (* ------------------------------------------------------------------ *)
@@ -392,13 +365,11 @@ let swap_equivalence_test =
       if not toolchain then true
       else begin
         let spec = Gen.(spec_at default_size) ~seed:0x71e6 ~index in
-        with_env swap_env (string_of_int swap) (fun () ->
-            match Oracle.check ~cycles:halt ~engines:(lineup ()) spec with
-            | None -> true
-            | Some d ->
-                QCheck.Test.fail_reportf
-                  "spec %d, swap at %d, halt at %d: %s" index swap halt
-                  (Oracle.divergence_to_string d))
+        match Oracle.check ~cycles:halt ~engines:(lineup (Tiered.At swap)) spec with
+        | None -> true
+        | Some d ->
+            QCheck.Test.fail_reportf "spec %d, swap at %d, halt at %d: %s" index
+              swap halt (Oracle.divergence_to_string d)
       end)
 
 (* ------------------------------------------------------------------ *)
@@ -433,7 +404,7 @@ let test_single_flight =
           tracers
       in
       let results = List.map Domain.join workers in
-      let flat = Asim.run_string ~config:quiet ~engine:Asim.FlatKernel sflight_spec in
+      let flat = Asim.run_string ~config:quiet ~engine:`Flat sflight_spec in
       List.iter
         (fun r ->
           Alcotest.(check int) "worker agrees with flat" (flat.Machine.read "r") r)
@@ -456,28 +427,30 @@ let test_single_flight =
    test below really exercises a failing background compile. *)
 let crash_spec = "#crashy\n= 6\nr* n .\nA n 4 r 7\nM r 0 n 1 1\n.\n"
 
-let batch_drive ~jobs lines =
+(* [n] jobs of [spec] on [engine] through a [jobs]-wide pool, as
+   [Runner.process] runs a manifest; the result lines come back in job
+   order.  The jobs are built as values because a forced swap point is an
+   engine setting the JSON protocol does not carry. *)
+let batch_drive ~jobs ~engine n spec =
   let t = Runner.create () in
-  let remaining = ref lines in
-  let next () =
-    match !remaining with
-    | [] -> None
-    | l :: rest ->
-        remaining := rest;
-        Some l
+  let job =
+    { Proto.id = None; trace_id = None; source = Proto.Inline spec; engine;
+      opt = None; cycles = None; inputs = []; want = [ Proto.Outputs ];
+      timeout_s = None }
   in
   let out = ref [] in
-  let n = Runner.process t ~jobs ~next ~emit:(fun l -> out := l :: !out) in
-  (n, List.rev !out)
-
-let job_line ?(engine = "tiered") spec =
-  Asim_batch.Json.to_string
-    (Asim_batch.Json.Obj
-       [
-         ("spec", Asim_batch.Json.String spec);
-         ("engine", Asim_batch.Json.String engine);
-         ("want", Asim_batch.Json.List [ Asim_batch.Json.String "outputs" ]);
-       ])
+  let pool =
+    Asim_batch.Pool.create ~jobs
+      ~on_crash:(fun _ e -> "crashed: " ^ Printexc.to_string e)
+      ~emit:(fun _ line -> out := line :: !out)
+  in
+  for _ = 1 to n do
+    Asim_batch.Pool.submit pool (fun index ->
+        Asim_batch.Json.to_string
+          (Proto.result_to_json ~index (Runner.run_job t job)))
+  done;
+  let count = Asim_batch.Pool.finish pool in
+  (count, List.rev !out)
 
 let test_batch_crash_isolation () =
   (* The background compile fails mid-batch (the artifact cache points
@@ -486,41 +459,37 @@ let test_batch_crash_isolation () =
      the same results as flat-engine jobs. *)
   Jit.clear_memory_cache ();
   with_env "ASIM_JIT_CACHE_DIR" "/dev/null/nowhere" (fun () ->
-      with_env swap_env "2" (fun () ->
-          let lines = List.init 4 (fun _ -> job_line crash_spec) in
-          let n, tiered_out = batch_drive ~jobs:2 lines in
-          Alcotest.(check int) "all jobs completed" 4 n;
-          List.iter
-            (fun line ->
-              Alcotest.(check bool) "job ok" true
-                (let needle = {|"status":"ok"|} in
-                 let nl = String.length needle and hl = String.length line in
-                 let rec go i =
-                   i + nl <= hl && (String.sub line i nl = needle || go (i + 1))
-                 in
-                 go 0))
-            tiered_out;
-          (* Strip per-line indices aside: tiered-under-failure must render
-             exactly what the flat engine renders. *)
-          let _, flat_out =
-            batch_drive ~jobs:2
-              (List.init 4 (fun _ -> job_line ~engine:"flat" crash_spec))
-          in
-          Alcotest.(check (list string)) "identical to flat results" flat_out
-            tiered_out))
+      let n, tiered_out =
+        batch_drive ~jobs:2 ~engine:(`Tiered (Tiered.At 2)) 4 crash_spec
+      in
+      Alcotest.(check int) "all jobs completed" 4 n;
+      List.iter
+        (fun line ->
+          Alcotest.(check bool) "job ok" true
+            (let needle = {|"status":"ok"|} in
+             let nl = String.length needle and hl = String.length line in
+             let rec go i =
+               i + nl <= hl && (String.sub line i nl = needle || go (i + 1))
+             in
+             go 0))
+        tiered_out;
+      (* Strip per-line indices aside: tiered-under-failure must render
+         exactly what the flat engine renders. *)
+      let _, flat_out = batch_drive ~jobs:2 ~engine:`Flat 4 crash_spec in
+      Alcotest.(check (list string)) "identical to flat results" flat_out
+        tiered_out)
 
 let test_batch_jobs_no_double_compile =
   if_toolchain (fun () ->
       (* Tiered under a parallel batch: same spec, forced cycle-0 swap,
          four workers.  Must terminate, agree with jobs=1, and leave a
          single artifact behind. *)
-      with_env swap_env "0" (fun () ->
-          let lines = List.init 8 (fun _ -> job_line sflight_spec) in
-          let n1, seq = batch_drive ~jobs:1 lines in
-          let n4, par = batch_drive ~jobs:4 lines in
-          Alcotest.(check int) "sequential count" 8 n1;
-          Alcotest.(check int) "parallel count" 8 n4;
-          Alcotest.(check (list string)) "byte-identical results" seq par))
+      let engine = `Tiered (Tiered.At 0) in
+      let n1, seq = batch_drive ~jobs:1 ~engine 8 sflight_spec in
+      let n4, par = batch_drive ~jobs:4 ~engine 8 sflight_spec in
+      Alcotest.(check int) "sequential count" 8 n1;
+      Alcotest.(check int) "parallel count" 8 n4;
+      Alcotest.(check (list string)) "byte-identical results" seq par)
 
 let () =
   Alcotest.run "tiered"
@@ -552,8 +521,6 @@ let () =
           Alcotest.test_case "auto defers the compile, then swaps" `Slow
             test_auto_defers_then_swaps;
           Alcotest.test_case "policy strings" `Quick test_policy_strings;
-          Alcotest.test_case "malformed env rejected" `Quick
-            test_malformed_env_rejected;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest swap_equivalence_test ] );
