@@ -1,20 +1,21 @@
-(* Benchmark harness: regenerates every table and figure of the thesis's
-   evaluation, plus the ablations called out in DESIGN.md.
+(* Benchmark harness: the thesis's code-listing figures, the §4.4 closure
+   ablation, two extensions, and the ablations the benchmark suite does not
+   measure yet.  Engine speed and Figure 5.1 come from bench/suite alone
+   (sh bench/suite/bench.sh --workload fig51-sieve ...).
 
-     dune exec bench/main.exe            # figures + Bechamel micro-benchmarks
-     dune exec bench/main.exe -- quick   # skip the Bechamel pass
+     dune exec bench/main.exe                # everything + Bechamel micro-benchmarks
+     dune exec bench/main.exe -- quick       # skip the Bechamel pass
+     dune exec bench/main.exe -- ablations   # the ablations section alone
 
    Figures:
    - Figure 3.1  bit-concatenation layout
    - Figure 4.1  ALU code generation (generic vs optimized)
    - Figure 4.2  Selector code generation
    - Figure 4.3  Memory code generation
-   - Figure 5.1  execution-time comparison of ASIM and ASIM II on the stack
-                 machine sieve (5545 cycles)
-*)
 
-open Bechamel
-open Toolkit
+   The run exits 1 when an ablation's correctness witness fails or the
+   profiling overhead reaches its ceiling.
+*)
 
 let hr title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -81,13 +82,17 @@ let figure_4_3 () =
       || starts_with "writeln('Read" l)
 
 (* ------------------------------------------------------------------ *)
-(* Figure 5.1                                                          *)
+(* Timing                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Monotonic, as in bench/suite/sample.ml: a wall-clock step can never show
+   up as a measured time. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let v = f () in
-  (v, Unix.gettimeofday () -. t0)
+  (v, now () -. t0)
 
 let sieve_analysis () =
   Asim.Analysis.analyze
@@ -96,8 +101,7 @@ let sieve_analysis () =
 
 (* Time one engine running the 5545-cycle sieve [reps] times and keep the
    best run.  Min, not mean: scheduler noise and GC pauses only ever add
-   time, so the minimum is the least-contaminated estimate (and matches
-   what the benchkit harness reports). *)
+   time, so the minimum is the least-contaminated estimate. *)
 let sim_time ~reps build =
   let analysis = sieve_analysis () in
   (* Building is part of "preparation", not simulation. *)
@@ -111,137 +115,8 @@ let sim_time ~reps build =
       Float.min best t)
     infinity machines
 
-let figure_5_1 () =
-  hr "Figure 5.1 — execution time comparison of ASIM and ASIM II";
-  Printf.printf
-    "Workload: Itty Bitty Stack Machine running the Sieve of Eratosthenes,\n\
-     5545 cycles (the paper's exact configuration).  Paper timings were on a\n\
-     VAX 11/780; ours are on this machine — compare shapes and ratios, not\n\
-     absolute numbers.\n\n";
-
-  let reps = 5 in
-  (* ASIM: read the specification into tables, then interpret. *)
-  let _, asim_prepare =
-    time (fun () ->
-        for _ = 1 to reps do
-          ignore (Asim.Interp.create ~config:Asim.Machine.quiet_config (sieve_analysis ()))
-        done)
-  in
-  let asim_prepare = asim_prepare /. float_of_int reps in
-  let asim_sim =
-    sim_time ~reps (fun a -> Asim.Interp.create ~config:Asim.Machine.quiet_config a)
-  in
-
-  (* ASIM II: generate a simulator program, compile it, execute it. *)
-  let pipeline =
-    Asim_codegen.Pipeline.run ~cycles:Asim_stackm.Programs.sieve_cycles
-      ~lang:Asim_codegen.Codegen.Ocaml (sieve_analysis ())
-  in
-
-  (* ASIM II, in-process variant: compile the spec to closures. *)
-  let _, closures_prepare =
-    time (fun () ->
-        for _ = 1 to reps do
-          ignore (Asim.Compile.create ~config:Asim.Machine.quiet_config (sieve_analysis ()))
-        done)
-  in
-  let closures_prepare = closures_prepare /. float_of_int reps in
-  let closures_sim =
-    sim_time ~reps (fun a -> Asim.Compile.create ~config:Asim.Machine.quiet_config a)
-  in
-
-  Printf.printf "%-46s %12s %12s\n" "" "paper (s)" "here (s)";
-  let row label paper here = Printf.printf "%-46s %12s %12.4f\n" label paper here in
-  Printf.printf "ASIM (interpreter)\n";
-  row "  Generate tables" "10.8" asim_prepare;
-  row "  Simulation time" "310.6" asim_sim;
-  (match pipeline with
-  | Ok r ->
-      let t = r.Asim_codegen.Pipeline.timings in
-      Printf.printf "ASIM II (generate + compile + execute)\n";
-      row "  Generate code" "34.2" t.Asim_codegen.Pipeline.generate_s;
-      row "  Compile" "43.2" t.Asim_codegen.Pipeline.compile_s;
-      row "  Simulation time" "15.0" t.Asim_codegen.Pipeline.run_s;
-      Printf.printf "ASIM II (in-process closure compiler)\n";
-      row "  Compile to closures" "-" closures_prepare;
-      row "  Simulation time" "-" closures_sim;
-      Printf.printf "Traditional methods (reported, not measured)\n";
-      Printf.printf "%-46s %12s %12s\n" "  Generate prototype" "100000" "-";
-      Printf.printf "%-46s %12s %12s\n" "  Run prototype" "0.01" "-";
-      print_newline ();
-      let sim_ratio = asim_sim /. max 1e-9 t.Asim_codegen.Pipeline.run_s in
-      let closure_ratio = asim_sim /. max 1e-9 closures_sim in
-      let end_to_end =
-        (asim_prepare +. asim_sim)
-        /. max 1e-9
-             (t.Asim_codegen.Pipeline.generate_s
-             +. t.Asim_codegen.Pipeline.compile_s
-             +. t.Asim_codegen.Pipeline.run_s)
-      in
-      Printf.printf "simulation-only speedup (paper: ~20x, abstract: \"approximately\n";
-      Printf.printf "an order of magnitude\"):                        %6.1fx\n" sim_ratio;
-      Printf.printf "closure-engine simulation speedup:              %6.1fx\n" closure_ratio;
-      Printf.printf "end-to-end speedup incl. preparation (paper: ~2.5x): %.2fx\n" end_to_end;
-
-      (* Where the crossover falls: the paper's extra preparation (66.6 s)
-         was repaid after ~1250 cycles, so its 5545-cycle workload showed an
-         end-to-end win.  Our compiler is relatively more expensive per
-         cycle saved, so the crossover sits at more cycles. *)
-      let interp_per_cycle = asim_sim /. 5545. in
-      let binary_per_cycle = t.Asim_codegen.Pipeline.run_s /. 5545. in
-      let extra_prep =
-        t.Asim_codegen.Pipeline.generate_s +. t.Asim_codegen.Pipeline.compile_s
-        -. asim_prepare
-      in
-      let crossover =
-        extra_prep /. max 1e-12 (interp_per_cycle -. binary_per_cycle)
-      in
-      Printf.printf "\nend-to-end crossover: ASIM II wins beyond ~%.0f cycles\n" crossover;
-      Printf.printf "(paper: ~%.0f cycles, so its 5545-cycle run was already past it)\n"
-        (66.6 /. ((310.6 -. 15.0) /. 5545.));
-      (* Verify with a long run: the re-assembled sieve parks in a halt
-         spin, so it can execute any cycle budget. *)
-      let long = int_of_float (4. *. crossover) in
-      let long_spec () =
-        Asim.Analysis.analyze
-          (Asim_stackm.Microcode.spec ~program:Asim_stackm.Demos.sieve_reassembled ())
-      in
-      let _, interp_long =
-        time (fun () ->
-            let m = Asim.Interp.create ~config:Asim.Machine.quiet_config (long_spec ()) in
-            Asim.Machine.run m ~cycles:long)
-      in
-      (match
-         Asim_codegen.Pipeline.run ~cycles:long ~lang:Asim_codegen.Codegen.Ocaml
-           (long_spec ())
-       with
-      | Ok r2 ->
-          let t2 = r2.Asim_codegen.Pipeline.timings in
-          let e2e =
-            (asim_prepare +. interp_long)
-            /. (t2.Asim_codegen.Pipeline.generate_s
-               +. t2.Asim_codegen.Pipeline.compile_s
-               +. t2.Asim_codegen.Pipeline.run_s)
-          in
-          Printf.printf
-            "verification at %d cycles: ASIM %.3f s vs ASIM II %.3f s -> %.2fx end-to-end\n"
-            long
-            (asim_prepare +. interp_long)
-            (t2.Asim_codegen.Pipeline.generate_s
-            +. t2.Asim_codegen.Pipeline.compile_s
-            +. t2.Asim_codegen.Pipeline.run_s)
-            e2e
-      | Error _ -> ())
-  | Error e ->
-      Printf.printf "ASIM II pipeline unavailable here (%s);\n" e;
-      Printf.printf "in-process closure compiler stands in:\n";
-      row "  Compile to closures" "34.2+43.2" closures_prepare;
-      row "  Simulation time" "15.0" closures_sim;
-      Printf.printf "simulation-only speedup (paper: ~20x): %6.1fx\n"
-        (asim_sim /. max 1e-9 closures_sim))
-
 (* ------------------------------------------------------------------ *)
-(* Ablations (DESIGN.md)                                               *)
+(* §4.4 closure ablation (DESIGN.md)                                   *)
 (* ------------------------------------------------------------------ *)
 
 let figure_ablation () =
@@ -377,225 +252,309 @@ let figure_levels () =
     \   the ISP gives no concurrency, timing, or interconnection data, §2.1.2)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Batch throughput: same spec × 1..P worker domains                   *)
+(* Ablations the benchmark suite does not report yet                   *)
 (* ------------------------------------------------------------------ *)
 
-(* 64 identical jobs over the stack-machine sieve (5545 cycles each),
-   executed at increasing pool widths.  Records jobs/sec, speedup vs one
-   domain, and the compiled-spec cache hit rate to BENCH_batch.json, and
-   checks that every width produces byte-identical result lines. *)
-(* Serve under load: an in-process TCP server (hash-sharded worker
-   domains, content-addressed spec store) driven by the load generator at
-   256 concurrent connections.  Every connection uploads the counter spec
-   (deduplicated to one store entry), then pipelines submit-by-hash jobs;
-   the report proves zero dropped or duplicated replies and records the
-   shard-cache hit rate those jobs enjoyed. *)
-let figure_serve () =
-  hr "Extension — serve under load: 256 TCP connections, submit-by-hash";
-  let cores_online = Domain.recommended_domain_count () in
-  let shards = max 1 (min 4 cores_online) in
-  (* queue depth sized for the full offered load: this figure measures
-     sustained throughput and latency, not the backpressure path (which
-     test/test_serve.ml exercises on a deliberately tiny queue) *)
-  let config =
-    {
-      Asim_serve.Server.default_config with
-      Asim_serve.Server.shards;
-      queue_depth = 2048;
-    }
-  in
-  let server = Asim_serve.Server.create ~config () in
-  let port =
-    Asim_serve.Server.listen server (Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
-  in
-  let th = Thread.create Asim_serve.Server.serve server in
-  let report =
-    Asim_serve.Loadgen.run
-      {
-        Asim_serve.Loadgen.default_config with
-        Asim_serve.Loadgen.port;
-        connections = 256;
-        jobs_per_connection = 4;
-        cycles = Some 2000;
-      }
-  in
-  Asim_serve.Server.shutdown server;
-  Thread.join th;
-  print_string (Asim_serve.Loadgen.report_to_string report);
-  Printf.printf "(%d shard domain(s), %d core(s) online)\n" shards cores_online;
-  if
-    report.Asim_serve.Loadgen.dropped > 0
-    || report.Asim_serve.Loadgen.duplicates > 0
-  then prerr_endline "WARNING: serve load run dropped or duplicated results";
-  Asim_batch.Json.Obj
-    [
-      ("spec", Asim_batch.Json.String "counter");
-      ("cycles_per_job", Asim_batch.Json.Int 2000);
-      ("shards", Asim_batch.Json.Int shards);
-      ("cores_online", Asim_batch.Json.Int cores_online);
-      (* throughput on a starved core count is load-test plumbing, not a
-         scaling claim — same honesty rule as the batch rows *)
-      ("scaling_valid", Asim_batch.Json.Bool (cores_online > 1));
-      ("loadgen", Asim_serve.Loadgen.report_to_json report);
-    ]
+(* Three measurements kept here, methods unchanged, until bench/suite
+   reports them as per-layer metrics: the per-pass optimizer ablation on the
+   suite's two 10k-component specs, cold tiered against the better of flat
+   and native on the sieve, and the flat kernel's profiling overhead.  Each
+   part carries its witness; [ablations] is false when one fails. *)
 
-let figure_batch ?serve () =
-  hr "Extension — batch throughput: 64 sieve jobs across worker domains";
-  let job_count = 64 in
-  let manifest =
-    List.init job_count (fun i ->
-        Asim_batch.Json.to_string
-          (Asim_batch.Proto.job_to_json
-             {
-               Asim_batch.Proto.id = Some (Printf.sprintf "sieve-%02d" i);
-               trace_id = None;
-               source = Asim_batch.Proto.Example "stack-machine-sieve";
-               engine = `Compiled;
-               cycles = None;
-               inputs = [];
-               want = [ Asim_batch.Proto.Outputs ];
-               timeout_s = None;
-               opt = None;
-             }))
-  in
-  let run_at ?tracer domains =
-    let t = Asim_batch.Runner.create ?tracer () in
-    let lines = ref manifest in
-    let next () =
-      match !lines with
-      | [] -> None
-      | line :: rest ->
-          lines := rest;
-          Some line
-    in
-    let results = ref [] in
-    let emit line = results := line :: !results in
-    let (), wall = time (fun () ->
-        ignore (Asim_batch.Runner.process t ~jobs:domains ~next ~emit : int))
-    in
-    let summary = Asim_batch.Runner.summary t ~wall_s:wall in
-    (summary, wall, List.rev !results)
-  in
-  let widths =
-    let cores = Domain.recommended_domain_count () in
-    List.filter (fun w -> w = 1 || w <= max 2 cores) [ 1; 2; 4; 8 ]
-  in
-  let runs = List.map (fun w -> (w, run_at w)) widths in
-  let _, (_, base_wall, base_results) = List.hd runs in
-  let byte_identical =
-    List.for_all (fun (_, (_, _, results)) -> results = base_results) runs
-  in
-  Printf.printf "%8s %12s %12s %10s %10s\n" "domains" "wall (s)" "jobs/sec" "speedup"
-    "cache hit";
-  List.iter
-    (fun (w, (summary, wall, _)) ->
-      Printf.printf "%8d %12.3f %12.1f %9.2fx %9.1f%%\n" w wall
-        summary.Asim_batch.Metrics.jobs_per_sec (base_wall /. wall)
-        (100.0 *. Asim_batch.Cache.hit_rate summary.Asim_batch.Metrics.cache))
-    runs;
-  Printf.printf "results byte-identical across widths: %b\n" byte_identical;
-  Printf.printf "(only %d core(s) online here; speedup needs real parallel hardware)\n"
-    (Domain.recommended_domain_count ());
-  (* Instrumentation overhead: the same 64 jobs at width 1 with a live
-     tracer vs without.  Plain and traced runs are interleaved (so clock
-     drift, GC state and cache warmth bias neither side) and each side
-     takes its minimum, which filters scheduler noise; target < 3%. *)
-  let overhead_reps = 5 in
-  let plain_wall = ref infinity and traced_wall = ref infinity in
-  let span_count = ref 0 in
-  for _ = 1 to overhead_reps do
-    let _, plain, _ = run_at 1 in
-    plain_wall := Float.min !plain_wall plain;
-    let tracer = Asim_obs.Tracer.create () in
-    let _, traced, _ = run_at ~tracer 1 in
-    span_count := Asim_obs.Tracer.event_count tracer;
-    traced_wall := Float.min !traced_wall traced
+let quiet = Asim.Machine.quiet_config
+
+(* The profiling row fails at or above this overhead ([(on - off) / off]),
+   and the counters-off hot loop may allocate at most this many minor words
+   over 2000 steps — the fixed allowance test_flat enforces, which must not
+   scale with the cycle count.  50k cycles, because one timer quantum swamps
+   a shorter run, and the min of 5 reps a side. *)
+let overhead_ceiling = 0.05
+let alloc_allowance = 256.0
+let prof_cycles = 50_000
+let prof_reps = 5
+
+(* The suite's two 10k-component specs. *)
+let mesh_10k () = Asim_fuzz.Gen.mesh ~width:99 ~height:100 ~seed:1 ()
+let pipeline_10k () = Asim_fuzz.Gen.pipeline ~cores:100 ~depth:99 ~seed:1 ()
+
+(* Both thesis machines park in halt spins, so any cycle budget is safe. *)
+let sieve_spec () =
+  Asim_stackm.Microcode.spec ~program:Asim_stackm.Demos.sieve_reassembled ()
+
+let tinyc_spec () =
+  Asim_tinyc.Machine.spec ~program:Asim_tinyc.Machine.demo_image ()
+
+let per_cycle_ns ~cycles wall = wall /. float_of_int (max 1 cycles) *. 1e9
+
+(* Build one machine (timed: the preparation), warm the code paths on it,
+   then keep the best [cycles]-cycle run over [reps] fresh machines — state
+   is cumulative, so each rep needs its own. *)
+let bench_machine ~reps ~cycles build =
+  let first, build_s = time build in
+  Asim.Machine.run first ~cycles:(min cycles 64);
+  let wall = ref infinity in
+  for _ = 1 to max 1 reps do
+    let m = build () in
+    let (), t = time (fun () -> Asim.Machine.run m ~cycles) in
+    wall := Float.min !wall t
   done;
-  let plain_wall = !plain_wall and traced_wall = !traced_wall in
-  let overhead_pct = 100.0 *. ((traced_wall /. plain_wall) -. 1.0) in
-  Printf.printf
-    "tracing overhead at width 1: plain %.3f s, traced %.3f s (%+.2f%%, %d spans)\n"
-    plain_wall traced_wall overhead_pct !span_count;
-  let cores_online = Domain.recommended_domain_count () in
-  let json =
-    Asim_batch.Json.Obj
-      ([
-        ("spec", Asim_batch.Json.String "stack-machine-sieve");
-        ("engine", Asim_batch.Json.String "compiled");
-        ("jobs", Asim_batch.Json.Int job_count);
-        ("cycles_per_job", Asim_batch.Json.Int Asim_stackm.Programs.sieve_cycles);
-        ("cores_online", Asim_batch.Json.Int cores_online);
-        ("byte_identical", Asim_batch.Json.Bool byte_identical);
-        ( "runs",
-          Asim_batch.Json.List
-            (List.map
-               (fun (w, (summary, wall, _)) ->
-                 (* A multi-domain "speedup" measured on a single online
-                    core is scheduler noise, not scaling — tag the row
-                    instead of reporting a meaningless ratio. *)
-                 let scaling_valid = w = 1 || cores_online > 1 in
-                 Asim_batch.Json.Obj
-                   ([
-                      ("domains", Asim_batch.Json.Int w);
-                      ("wall_s", Asim_batch.Json.Float wall);
-                      ( "jobs_per_sec",
-                        Asim_batch.Json.Float summary.Asim_batch.Metrics.jobs_per_sec );
-                      ("scaling_valid", Asim_batch.Json.Bool scaling_valid);
-                    ]
-                   @ (if scaling_valid then
-                        [ ("speedup_vs_1", Asim_batch.Json.Float (base_wall /. wall)) ]
-                      else [])
-                   @ [
-                       ( "cache_hit_rate",
-                         Asim_batch.Json.Float
-                           (Asim_batch.Cache.hit_rate summary.Asim_batch.Metrics.cache) );
-                       ( "metrics",
-                         Asim_batch.Metrics.to_json summary );
-                     ]))
-               runs) );
-        ( "tracing_overhead",
-          Asim_batch.Json.Obj
-            [
-              ("plain_wall_s", Asim_batch.Json.Float plain_wall);
-              ("traced_wall_s", Asim_batch.Json.Float traced_wall);
-              ("overhead_pct", Asim_batch.Json.Float overhead_pct);
-              ("span_count", Asim_batch.Json.Int !span_count);
-            ] );
-      ]
-      @ match serve with Some j -> [ ("serve", j) ] | None -> [])
+  (build_s, !wall)
+
+let rec remove_tree path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter
+        (fun entry -> remove_tree (Filename.concat path entry))
+        (Sys.readdir path);
+      (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | false -> ( try Sys.remove path with Sys_error _ -> ())
+  | exception Sys_error _ -> ()
+
+(* Native builds go to a fresh, empty artifact cache, so the first build of
+   each spec is an honest cold generate+compile+dynlink. *)
+let with_temp_jit_cache f =
+  let dir = Filename.temp_file "asim-bench-jit" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
+
+(* [bench_machine] on the native engine, [None] without a toolchain.  The
+   in-process memo is cleared first, so the first (timed) build compiles the
+   plugin into [jit_cache_dir] or loads it from there; the rep builds reuse
+   it. *)
+let native_run ~reps ~cycles ~jit_cache_dir analysis =
+  if not (Asim.Jit.available ()) then None
+  else begin
+    Asim.Jit.clear_memory_cache ();
+    Some
+      (bench_machine ~reps ~cycles (fun () ->
+           Asim.Jit.create ~config:quiet ~cache_dir:jit_cache_dir analysis))
+  end
+
+(* 1. Profiling overhead: the flat kernel with per-component counters on
+   versus off, the reps interleaved so clock-frequency and cache drift
+   cannot pass for (even negative) overhead. *)
+let profiling_overhead ~name spec =
+  let analysis = Asim.Analysis.analyze spec in
+  let cycles = prof_cycles in
+  let one prof_on =
+    let prof = if prof_on then Some (Asim.Prof.create analysis) else None in
+    let m = Asim.Flat.create ~config:quiet ?prof analysis in
+    Asim.Machine.run m ~cycles:64;
+    let (), t = time (fun () -> Asim.Machine.run m ~cycles) in
+    per_cycle_ns ~cycles t
   in
-  let oc = open_out "BENCH_batch.json" in
-  output_string oc (Asim_batch.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  print_endline "wrote BENCH_batch.json"
+  ignore (one false);
+  ignore (one true);
+  let off = ref infinity and on = ref infinity in
+  for _ = 1 to prof_reps do
+    off := Float.min !off (one false);
+    on := Float.min !on (one true)
+  done;
+  let off = !off and on = !on in
+  let overhead = if off > 0.0 then (on -. off) /. off else 0.0 in
+  let off_words =
+    let m = Asim.Flat.create ~config:quiet analysis in
+    Asim.Machine.run m ~cycles:64;
+    let before = Gc.minor_words () in
+    for _ = 1 to 2000 do
+      m.Asim.Machine.step ()
+    done;
+    Gc.minor_words () -. before
+  in
+  let ok = overhead < overhead_ceiling && off_words <= alloc_allowance in
+  Printf.printf
+    "  %-12s off %6.0f ns/cycle, on %6.0f ns/cycle, overhead %+5.1f%%; \
+     counters-off allocation %.0f words / 2000 steps%s\n"
+    name off on (100.0 *. overhead) off_words
+    (if ok then "" else "  FAILED");
+  ok
 
-(* ------------------------------------------------------------------ *)
-(* Engine comparison: interp / compiled / lowered / flat (+ ablation)  *)
-(* ------------------------------------------------------------------ *)
+let profiling_section () =
+  Printf.printf
+    "Profiling overhead (flat, %d cycles, min of %d interleaved reps; \
+     ceiling %.0f%%, allocation allowance %.0f words):\n"
+    prof_cycles prof_reps (100.0 *. overhead_ceiling) alloc_allowance;
+  let sieve = profiling_overhead ~name:"stackm-sieve" (sieve_spec ()) in
+  let tinyc = profiling_overhead ~name:"tinyc-demo" (tinyc_spec ()) in
+  sieve && tinyc
 
-let figure_engines () =
-  hr "Extension — engine comparison: flat kernel vs closures vs interpreter";
-  let t = Asim_benchkit.Benchkit.run () in
-  print_string (Asim_benchkit.Benchkit.table t);
-  Asim_benchkit.Benchkit.write_json t ~path:"BENCH_engines.json";
-  print_endline "wrote BENCH_engines.json";
-  if not (Asim_benchkit.Benchkit.agree t) then
-    prerr_endline "WARNING: engine differential check failed (see table above)"
+(* 2. The per-pass optimizer ablation: each pass added cumulatively in
+   pipeline order, as flat program words and flat ns/cycle per step, plus
+   native at the -O0/-O2 endpoints (separate plugin compiles: the optimizer
+   changes the generated source).  Words saved are signed, so a pass that
+   buys nothing shows 0 instead of being dropped.  The witness: flat -O2
+   and flat -O0 agree on every live (not DCE'd) component for 50 cycles. *)
+let cumulative_passes =
+  List.init (List.length Asim.Opt.all_passes) (fun k ->
+      List.filteri (fun i _ -> i <= k) Asim.Opt.all_passes)
+
+let lockstep_live ~cycles (a0 : Asim.Analysis.t) (full : Asim.Opt.result) =
+  let dead = Hashtbl.create 16 in
+  List.iter (fun n -> Hashtbl.replace dead n ()) full.Asim.Opt.dead;
+  let names =
+    List.filter
+      (fun n -> not (Hashtbl.mem dead n))
+      (List.map
+         (fun (c : Asim.Component.t) -> c.name)
+         a0.Asim.Analysis.spec.Asim.Spec.components)
+  in
+  let m0 = Asim.Flat.create ~config:quiet a0 in
+  let m2 = Asim.Flat.create ~config:quiet full.Asim.Opt.analysis in
+  try
+    for _ = 1 to cycles do
+      m0.Asim.Machine.step ();
+      m2.Asim.Machine.step ();
+      List.iter
+        (fun n ->
+          if m0.Asim.Machine.read n <> m2.Asim.Machine.read n then raise Exit)
+        names
+    done;
+    true
+  with Exit -> false
+
+let opt_ablation ~jit_cache_dir ~name (spec : Asim.Spec.t) =
+  let reps = 3 in
+  let cycles = Option.value spec.Asim.Spec.cycles ~default:200 in
+  let analysis = Asim.Analysis.analyze spec in
+  let flat_ns a =
+    let _, wall =
+      bench_machine ~reps ~cycles (fun () -> Asim.Flat.create ~config:quiet a)
+    in
+    per_cycle_ns ~cycles wall
+  in
+  let full = Asim.Opt.run_result ~level:Asim.Opt.O2 analysis in
+  let dead = List.length full.Asim.Opt.dead in
+  Printf.printf
+    "%s: %d components, %d cycles, %d dead component%s at O2, scheduler %s\n"
+    name
+    (List.length spec.Asim.Spec.components)
+    cycles dead
+    (if dead = 1 then "" else "s")
+    (if full.Asim.Opt.stats.Asim.Opt.scheduled then "ran" else "gated off");
+  Printf.printf "  %-12s %12s %12s %14s\n" "step" "flat words" "words saved"
+    "flat ns/cycle";
+  let row label words saved ns =
+    Printf.printf "  %-12s %12d %12d %14.0f\n" label words saved ns
+  in
+  let o0_words = Asim.Flat.program_size analysis in
+  let o0_ns = flat_ns analysis in
+  row "O0" o0_words 0 o0_ns;
+  let o2_ns =
+    List.fold_left
+      (fun (prev_words, _) passes ->
+        let r = Asim.Opt.run_result ~passes analysis in
+        let words = Asim.Flat.program_size r.Asim.Opt.analysis in
+        let ns = flat_ns r.Asim.Opt.analysis in
+        let last = List.nth passes (List.length passes - 1) in
+        row ("+" ^ Asim.Opt.pass_to_string last) words (prev_words - words) ns;
+        (words, ns))
+      (o0_words, o0_ns) cumulative_passes
+    |> snd
+  in
+  Printf.printf "  flat O2 vs O0: %.2fx\n" (o0_ns /. o2_ns);
+  let native a =
+    Option.map
+      (fun (_, wall) -> per_cycle_ns ~cycles wall)
+      (native_run ~reps ~cycles ~jit_cache_dir a)
+  in
+  let native_o0 = native analysis in
+  let native_o2 = native full.Asim.Opt.analysis in
+  (match (native_o0, native_o2) with
+  | Some a, Some b ->
+      Printf.printf "  native: O0 %.0f ns/cycle, O2 %.0f ns/cycle (%.2fx)\n" a b
+        (a /. b)
+  | _ -> print_endline "  native: no OCaml toolchain on PATH, skipped");
+  let check = min cycles 50 in
+  let ok = lockstep_live ~cycles:check analysis full in
+  Printf.printf "  lockstep flat O2 vs O0 (%d cycles, live components): %s\n\n"
+    check
+    (if ok then "yes" else "NO — DIVERGED");
+  ok
+
+let opt_section ~jit_cache_dir =
+  print_endline "Per-pass optimizer ablation (cumulative, pipeline order):";
+  let mesh = opt_ablation ~jit_cache_dir ~name:"genspec-mesh-10k" (mesh_10k ()) in
+  let pipeline =
+    opt_ablation ~jit_cache_dir ~name:"genspec-pipeline-10k" (pipeline_10k ())
+  in
+  mesh && pipeline
+
+(* 3. Cold tiered against the better of flat and native on the sieve,
+   preparation included — tiered ≈ max(flat, native) as one number, floor
+   0.95.  Every tiered rep starts with an empty artifact cache and
+   in-process memo under the default [Auto] policy, as a user hits it the
+   first time; the last rep's swap state says which side of the [Auto]
+   threshold the budget landed on. *)
+let tiered_section ~jit_cache_dir =
+  let reps = 3 and cycles = Asim_stackm.Programs.sieve_cycles in
+  let analysis = Asim.Analysis.analyze (sieve_spec ()) in
+  let flat =
+    bench_machine ~reps ~cycles (fun () -> Asim.Flat.create ~config:quiet analysis)
+  in
+  let native = native_run ~reps ~cycles ~jit_cache_dir analysis in
+  Asim.Tiered.mute_warning ();
+  let swap = ref Asim.Tiered.Pending in
+  let cold rep =
+    Asim.Jit.clear_memory_cache ();
+    let dir =
+      Filename.concat jit_cache_dir (Printf.sprintf "tiered-cold-%d" rep)
+    in
+    remove_tree dir;
+    Unix.mkdir dir 0o700;
+    let (m, status), build_s =
+      time (fun () ->
+          Asim.Tiered.create_status ~config:quiet ~cache_dir:dir
+            ~swap_at:Asim.Tiered.Auto analysis)
+    in
+    let (), wall = time (fun () -> Asim.Machine.run m ~cycles) in
+    swap := (status ()).Asim.Tiered.state;
+    (build_s, wall)
+  in
+  ignore (cold 0);
+  let tiered_build = ref infinity and tiered_wall = ref infinity in
+  for rep = 1 to reps do
+    let b, w = cold rep in
+    tiered_build := Float.min !tiered_build b;
+    tiered_wall := Float.min !tiered_wall w
+  done;
+  Printf.printf
+    "Cold tiered vs best(flat, native), stackm-sieve, %d cycles, \
+     preparation included:\n"
+    cycles;
+  Printf.printf "  %-8s %12s %12s %12s\n" "engine" "build (s)" "run (s)"
+    "total (s)";
+  let row label (b, w) =
+    Printf.printf "  %-8s %12.6f %12.4f %12.4f\n" label b w (b +. w)
+  in
+  row "flat" flat;
+  Option.iter (row "native") native;
+  row "tiered" (!tiered_build, !tiered_wall);
+  let total (b, w) = b +. w in
+  let best =
+    Float.min (total flat) (Option.fold ~none:infinity ~some:total native)
+  in
+  Printf.printf
+    "  tiered: swap=%s, incl prep vs best(flat, native): %.2fx (floor 0.95)\n"
+    (Asim.Tiered.swap_state_to_string !swap)
+    (best /. (!tiered_build +. !tiered_wall))
+
+let ablations () =
+  hr "Ablations — kept here until bench/suite reports them";
+  Printf.printf "(%d core(s) online)\n\n" (Domain.recommended_domain_count ());
+  with_temp_jit_cache (fun jit_cache_dir ->
+      let profiling_ok = profiling_section () in
+      print_newline ();
+      let opt_ok = opt_section ~jit_cache_dir in
+      tiered_section ~jit_cache_dir;
+      profiling_ok && opt_ok)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure           *)
 (* ------------------------------------------------------------------ *)
 
-let stepper build =
-  (* A machine running the re-assembled sieve (it parks in a halt spin, so
-     stepping beyond 5545 cycles is safe). *)
-  let spec =
-    Asim_stackm.Microcode.spec ~program:Asim_stackm.Demos.sieve_reassembled ()
-  in
-  let analysis = Asim.Analysis.analyze spec in
-  let m : Asim.Machine.t = build analysis in
-  Staged.stage (fun () -> m.Asim.Machine.step ())
+open Bechamel
+open Toolkit
 
 let fig31_test =
   let expr = Asim.Parser.parse_expr "mem.3.4,#01,count.1" in
@@ -619,29 +578,6 @@ let fig42_test =
 let fig43_test =
   codegen_test "fig4.3/memory-codegen"
     "# f\nm a d o .\nM m a d o -4 12 34 56 78\nA a 1 0 1\nA d 1 0 9\nA o 1 0 13\n.\n"
-
-let fig51_interp_test =
-  Test.make ~name:"fig5.1/asim-interp-step"
-    (stepper (fun a -> Asim.Interp.create ~config:Asim.Machine.quiet_config a))
-
-let fig51_compiled_test =
-  Test.make ~name:"fig5.1/asim2-compiled-step"
-    (stepper (fun a -> Asim.Compile.create ~config:Asim.Machine.quiet_config a))
-
-let ablation_test =
-  Test.make ~name:"ablation/asim2-unoptimized-step"
-    (stepper (fun a ->
-         Asim.Compile.create ~config:Asim.Machine.quiet_config ~optimize:false a))
-
-let flat_test =
-  Test.make ~name:"engines/flat-kernel-step"
-    (stepper (fun a -> Asim.Flat.create ~config:Asim.Machine.quiet_config a))
-
-let flat_full_test =
-  Test.make ~name:"engines/flat-full-step"
-    (stepper (fun a ->
-         Asim.Flat.create ~config:Asim.Machine.quiet_config
-           ~schedule:Asim.Flat.Full a))
 
 let isp_level_test =
   (* Restart the image when it halts so every call executes a real
@@ -670,9 +606,8 @@ let run_bechamel () =
   hr "Bechamel micro-benchmarks (ns per call, OLS on monotonic clock)";
   let tests =
     [
-      fig31_test; fig41_test; fig42_test; fig43_test; fig51_interp_test;
-      fig51_compiled_test; ablation_test; flat_test; flat_full_test;
-      isp_level_test; gate_level_test; appf_netlist_test;
+      fig31_test; fig41_test; fig42_test; fig43_test; isp_level_test;
+      gate_level_test; appf_netlist_test;
     ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
@@ -698,21 +633,21 @@ let run_bechamel () =
 
 let () =
   let quick = Array.exists (fun a -> a = "quick") Sys.argv in
-  let batch_only = Array.exists (fun a -> a = "batch") Sys.argv in
-  let engines_only = Array.exists (fun a -> a = "engines") Sys.argv in
-  if batch_only then figure_batch ~serve:(figure_serve ()) ()
-  else if engines_only then figure_engines ()
-  else begin
-    figure_3_1 ();
-    figure_4_1 ();
-    figure_4_2 ();
-    figure_4_3 ();
-    figure_5_1 ();
-    figure_ablation ();
-    figure_scaling ();
-    figure_levels ();
-    figure_batch ~serve:(figure_serve ()) ();
-    figure_engines ();
-    if not quick then run_bechamel ()
-  end;
-  print_newline ()
+  let ablations_only = Array.exists (fun a -> a = "ablations") Sys.argv in
+  let ok =
+    if ablations_only then ablations ()
+    else begin
+      figure_3_1 ();
+      figure_4_1 ();
+      figure_4_2 ();
+      figure_4_3 ();
+      figure_ablation ();
+      figure_scaling ();
+      figure_levels ();
+      let ok = ablations () in
+      if not quick then run_bechamel ();
+      ok
+    end
+  in
+  print_newline ();
+  if not ok then exit 1

@@ -1,7 +1,8 @@
 (* asim — the ASIM II reproduction's command-line front end.
 
    Subcommands: check, run, codegen, pipeline, netlist, gates, profile,
-   coverage, asm, wavediff, fuzz, batch, bench, serve, fmt, example. *)
+   asm, coverage, wavediff, fuzz, genspec, batch, serve, loadgen, fmt,
+   example. *)
 
 open Cmdliner
 module Obs_clock = Asim_obs.Clock
@@ -1496,8 +1497,6 @@ let loadgen_cmd =
       $ example_arg $ spec_file_arg $ cycles_arg $ engine_arg $ no_scrape_arg
       $ out_arg)
 
-(* --- bench ------------------------------------------------------------------ *)
-
 (* --- genspec ---------------------------------------------------------------- *)
 
 let genspec_cmd =
@@ -1581,73 +1580,6 @@ let genspec_cmd =
       const run $ kind_arg $ cores_arg $ depth_arg $ width_arg $ height_arg
       $ seed_arg $ gen_cycles_arg $ out_arg)
 
-let bench_cmd =
-  let run cycles reps check_cycles par_cycles out =
-    let t =
-      Asim_benchkit.Benchkit.run ?cycles ~reps ~check_cycles ~par_cycles ()
-    in
-    print_string (Asim_benchkit.Benchkit.table t);
-    (match out with
-    | None -> ()
-    | Some path ->
-        Asim_benchkit.Benchkit.write_json t ~path;
-        Printf.printf "wrote %s\n" path);
-    if not (Asim_benchkit.Benchkit.agree t) then begin
-      prerr_endline "asim: bench differential check failed — engines disagree";
-      exit 1
-    end
-  in
-  let bench_cycles_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "n"; "cycles" ] ~docv:"N"
-          ~doc:
-            "Cycle budget per timed run (default: the sieve's 5545 cycles, \
-             the paper's Figure 5.1 configuration).")
-  in
-  let reps_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "reps" ] ~docv:"R"
-          ~doc:"Timed repetitions per engine; the best is kept (default 3).")
-  in
-  let check_cycles_arg =
-    Arg.(
-      value & opt int 300
-      & info [ "check-cycles" ] ~docv:"N"
-          ~doc:"Cycle budget for the differential-oracle agreement check.")
-  in
-  let par_cycles_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "par-cycles" ] ~docv:"N"
-          ~doc:
-            "Cycle budget for the 10k-component par-scaling workloads \
-             (default 200).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Also write the results as JSON (the BENCH_engines.json format).")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Compare the simulation engines (interp, compiled, lowered, flat, \
-          flat-full, par, and native when a toolchain is on PATH) on the \
-          stack-machine sieve and the tiny computer, including raw and \
-          prep-inclusive speedups and the native engine's amortization \
-          point, plus the partitioned engine's 1/2/4/8-domain scaling curve \
-          and par@1-vs-flat overhead on generated 10k-component specs; \
-          exits nonzero if any engine disagrees with the differential \
-          oracle or the par engine falls out of lockstep with flat.")
-    Term.(
-      const run $ bench_cycles_arg $ reps_arg $ check_cycles_arg
-      $ par_cycles_arg $ out_arg)
-
 (* --- fmt -------------------------------------------------------------------- *)
 
 let fmt_cmd =
@@ -1687,4 +1619,4 @@ let () =
   exit (Cmd.eval (Cmd.group info
     [ check_cmd; run_cmd; codegen_cmd; pipeline_cmd; netlist_cmd; gates_cmd;
       profile_cmd; asm_cmd; coverage_cmd; wavediff_cmd; fuzz_cmd; genspec_cmd;
-      batch_cmd; bench_cmd; serve_cmd; loadgen_cmd; fmt_cmd; example_cmd ]))
+      batch_cmd; serve_cmd; loadgen_cmd; fmt_cmd; example_cmd ]))

@@ -143,38 +143,3 @@ let to_string s =
            l.engine l.count l.p50_ms l.p90_ms l.p99_ms l.max_ms))
     s.latencies;
   Buffer.contents buf
-
-let to_json s =
-  Json.Obj
-    [
-      ("jobs", Json.Int s.jobs);
-      ("ok", Json.Int s.ok);
-      ("errors", Json.Int s.errors);
-      ("timeouts", Json.Int s.timeouts);
-      ("wall_s", Json.Float s.wall_s);
-      ("jobs_per_sec", Json.Float s.jobs_per_sec);
-      ( "cache",
-        Json.Obj
-          [
-            ("hits", Json.Int s.cache.Cache.hits);
-            ("misses", Json.Int s.cache.Cache.misses);
-            ("evictions", Json.Int s.cache.Cache.evictions);
-            ("hit_rate", Json.Float (Cache.hit_rate s.cache));
-            ("entries", Json.Int s.cache.Cache.entries);
-            ("capacity", Json.Int s.cache.Cache.capacity);
-          ] );
-      ( "engines",
-        Json.List
-          (List.map
-             (fun l ->
-               Json.Obj
-                 [
-                   ("engine", Json.String l.engine);
-                   ("jobs", Json.Int l.count);
-                   ("p50_ms", Json.Float l.p50_ms);
-                   ("p90_ms", Json.Float l.p90_ms);
-                   ("p99_ms", Json.Float l.p99_ms);
-                   ("max_ms", Json.Float l.max_ms);
-                 ])
-             s.latencies) );
-    ]

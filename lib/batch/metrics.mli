@@ -57,5 +57,3 @@ val summarize : t -> cache:Cache.stats -> wall_s:float -> summary
 
 val to_string : summary -> string
 (** Multi-line human-readable report (the CLI prints it to stderr). *)
-
-val to_json : summary -> Json.t

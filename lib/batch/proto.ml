@@ -36,15 +36,6 @@ let want_of_string = function
   | "profile" -> Some Profile
   | _ -> None
 
-let want_to_string = function
-  | Outputs -> "outputs"
-  | Memory -> "memory"
-  | Trace -> "trace"
-  | Events -> "events"
-  | Stats -> "stats"
-  | Timing -> "timing"
-  | Profile -> "profile"
-
 let known_fields =
   [ "id"; "trace_id"; "spec_file"; "spec"; "example"; "spec_hash"; "engine"; "optimize";
     "opt"; "cycles"; "inputs"; "want"; "timeout_s" ]
@@ -204,27 +195,6 @@ let request_of_json json =
       | Some other -> Error (Printf.sprintf "unknown control request %S" other)
       | None -> Error "field \"control\" must be a string")
   | None -> Result.map (fun j -> Run j) (job_of_json json)
-
-let job_to_json job =
-  let fields = ref [] in
-  let add key value = fields := (key, value) :: !fields in
-  Option.iter (fun s -> add "timeout_s" (Json.Float s)) job.timeout_s;
-  add "want" (Json.List (List.map (fun w -> Json.String (want_to_string w)) job.want));
-  if job.inputs <> [] then
-    add "inputs" (Json.List (List.map (fun i -> Json.Int i) job.inputs));
-  Option.iter (fun n -> add "cycles" (Json.Int n)) job.cycles;
-  Option.iter
-    (fun l -> add "opt" (Json.String (Asim.Opt.level_to_string l)))
-    job.opt;
-  add "engine" (Json.String (Asim.engine_to_string job.engine));
-  (match job.source with
-  | File p -> add "spec_file" (Json.String p)
-  | Inline s -> add "spec" (Json.String s)
-  | Example e -> add "example" (Json.String e)
-  | Hash h -> add "spec_hash" (Json.String h));
-  Option.iter (fun i -> add "trace_id" (Json.String i)) job.trace_id;
-  Option.iter (fun i -> add "id" (Json.String i)) job.id;
-  Json.Obj !fields
 
 (* --- results ---------------------------------------------------------------- *)
 

@@ -75,8 +75,6 @@ val request_of_json : Json.t -> (request, string) result
 val is_md5_hex : string -> bool
 (** 32 chars of lowercase [0-9a-f] — the shape every spec digest has. *)
 
-val job_to_json : job -> Json.t
-
 type status =
   | Ok_
   | Error_ of string

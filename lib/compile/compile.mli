@@ -13,8 +13,8 @@
     - constant expressions are folded to literals.
 
     [~optimize:false] disables all three (every ALU dispatches generically,
-    every memory keeps its four-way case), which is the ablation measured by
-    the benchmark harness.
+    every memory keeps its four-way case), which is the §4.4 ablation
+    [bench/main.ml] measures.
 
     The source-to-source backends that mirror the paper's actual Pascal
     output live in [Asim_codegen]. *)

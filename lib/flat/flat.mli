@@ -23,7 +23,7 @@
     equal wakes nobody.  Memories always latch (they are sequential), and
     fault-injected components are pinned permanently dirty so cycle-windowed
     faults keep firing.  [~schedule:Full] re-evaluates everything every
-    cycle — the ablation baseline for the benchmark harness.
+    cycle — the ablation baseline, the [flat-full] engine.
 
     The result is observationally identical to [Asim_interp] and
     [Asim_compile] (the differential-fuzz oracle enforces this): same
@@ -79,7 +79,7 @@ val create_debug :
     evaluated (in evaluation order).  Under [Activity] scheduling the
     counts expose which parts of the design were quiescent; under [Full]
     every count equals the cycle count.  For tests and the benchmark
-    harness's skip-rate metric. *)
+    suite's [flat.skip_rate] metric. *)
 
 (** The engine's mutable core, exposed for the tiered engine's hot-swap:
     [s_vals] holds one slot per component in specification order (the same
@@ -168,7 +168,7 @@ val make_exec :
 
 val program_size : Asim_analysis.Analysis.t -> int
 (** Number of instruction words the flat program for this spec occupies —
-    a compile-time metric (reported by benchmarks, no machine built).  For
-    spec-level optimization effects, run the analysis through
-    [Asim_opt.Opt.run] first — the opt-ablation benchmark measures program
-    size that way. *)
+    a compile-time metric (no machine built), reported as the benchmark
+    suite's [flat.program_words].  For spec-level optimization effects, run
+    the analysis through [Asim_opt.Opt.run] first — the per-pass ablation
+    in [bench/main.exe ablations] measures program size that way. *)

@@ -41,7 +41,7 @@ val spec : size -> Random.State.t -> Asim_core.Spec.t
 
     Deterministic generators of {e large} well-formed specs (1k-100k
     components) with partitionable structure, behind [asim genspec] and the
-    partitioned engine's benchmarks.  They obey the same safety discipline
+    benchmark suite's 10k-component workloads.  They obey the same safety discipline
     as the random generator (narrow fields, field-narrowed selects,
     constant plain-write memory ops), so the specs are analyzable, run
     without spurious range errors, and pretty-print/parse round-trip.

@@ -37,7 +37,7 @@
     created by the hundreds), so concurrent machines serialize their steps
     against each other.  With one partition no pool, barrier or mailbox is
     involved at all: the step is the flat activity loop plus one indirection
-    — the honest par@1 ablation the benchmarks record. *)
+    — the par@1 overhead ablation. *)
 
 val default_domains : unit -> int
 (** [min 8 (Domain.recommended_domain_count ())]: the domain count a

@@ -11,21 +11,6 @@ type config = {
   scrape : bool;
 }
 
-let default_config =
-  {
-    host = "127.0.0.1";
-    port = 0;
-    connections = 256;
-    jobs_per_connection = 4;
-    spec =
-      (match List.assoc_opt "counter" Asim.Specs.all with
-      | Some s -> s
-      | None -> "# counter\n= 8\ncount* inc .\nA inc 4 count 1\nM count 0 inc 1 1\n.\n");
-    cycles = None;
-    engine = `Compiled;
-    scrape = true;
-  }
-
 type report = {
   connections : int;
   jobs_sent : int;

@@ -4,8 +4,8 @@
     measure end-to-end latency from submission to reply.
 
     Every reply is matched back to its request by index, so dropped and
-    duplicated results are counted exactly — the bench's "zero
-    dropped/duplicated" claim is measured, not assumed. *)
+    duplicated results are counted exactly — [asim loadgen]'s "zero
+    dropped/duplicated" check is measured, not assumed. *)
 
 type config = {
   host : string;
@@ -17,10 +17,6 @@ type config = {
   engine : Asim.engine;
   scrape : bool;  (** fetch a final metrics scrape on one extra connection *)
 }
-
-val default_config : config
-(** 127.0.0.1, port 0 (caller must set), 256 connections x 4 jobs of the
-    bundled counter example, compiled engine, scrape on. *)
 
 type report = {
   connections : int;

@@ -1,6 +1,6 @@
 (** The tiered engine: flat-first execution with a background JIT hot-swap.
 
-    BENCH_engines.json states the paper's Figure 5.1 tension precisely: the
+    The engines restate the paper's Figure 5.1 tension: the
     native Dynlink engine is two orders of magnitude faster than the
     interpreter steady-state but slower than the flat kernel until a
     ~128 ms compile has amortized.  This engine refuses the choice.  It
@@ -122,5 +122,5 @@ val create :
 
 val mute_warning : unit -> unit
 (** Drop the no-toolchain warning for the rest of the process, for callers
-    that report a missing toolchain themselves (the fuzz oracle, the bench
-    harness). *)
+    that report a missing toolchain themselves (the fuzz oracle, the
+    ablations in [bench/main.ml]). *)

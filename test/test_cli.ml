@@ -129,23 +129,6 @@ let test_run_ablation_engines () =
         (trace "unoptimized");
       Alcotest.(check string) "flat-full = flat" (trace "flat") (trace "flat-full"))
 
-let test_bench () =
-  let out = Filename.temp_file "asim-cli" ".json" in
-  check_ok "bench"
-    (run_cli
-       (Printf.sprintf "bench -n 120 --reps 1 --check-cycles 120 -o %s"
-          (Filename.quote out)))
-    [
-      "workload stackm-sieve";
-      "flat vs compiled:";
-      "differential check: all engines agree";
-    ];
-  let j = Asim_batch.Json.parse (read_file out) in
-  Sys.remove out;
-  Alcotest.(check (option string)) "schema"
-    (Some "asim-bench-engines/1")
-    (Option.bind (Asim_batch.Json.member "schema" j) Asim_batch.Json.to_string_opt)
-
 let test_run_fault () =
   with_spec counter (fun path ->
       check_ok "run fault"
@@ -801,7 +784,6 @@ let () =
           Alcotest.test_case "run stats" `Quick test_run_stats;
           Alcotest.test_case "engines agree" `Quick test_run_engines_agree;
           Alcotest.test_case "ablation engines" `Quick test_run_ablation_engines;
-          Alcotest.test_case "bench smoke" `Quick test_bench;
           Alcotest.test_case "fault injection" `Quick test_run_fault;
           Alcotest.test_case "vcd output" `Quick test_run_vcd;
           Alcotest.test_case "check" `Quick test_check;

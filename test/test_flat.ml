@@ -1,6 +1,7 @@
 (* Tests specific to the flat-kernel engine ([Asim_flat.Flat]): cycle-level
-   differential checks against the closure compiler and the interpreter on
-   the two big demo machines, activity-scheduling (dirty-bit) behavior on a
+   differential checks against the closure compiler, the interpreter, the
+   lowered-IR evaluator and the partitioned engine at two domains on the
+   two big demo machines, activity-scheduling (dirty-bit) behavior on a
    hand-built diamond dependency graph, the zero-per-cycle-allocation
    guarantee, and the codegen spans.  The generic cross-engine semantics
    matrix lives in test_engines.ml / test_equiv.ml, which iterate over
@@ -30,6 +31,8 @@ let lockstep name (spec : Asim.Spec.t) ~cycles =
       ("compiled", Asim.Compile.create ~config:quiet analysis);
       ("flat", Flat.create ~config:quiet ~schedule:Flat.Activity analysis);
       ("flat-full", Flat.create ~config:quiet ~schedule:Flat.Full analysis);
+      ("lowered", Asim_fuzz.Loweval.create ~config:quiet analysis);
+      ("par", Asim.Par.create ~config:quiet ~domains:2 analysis);
     ]
   in
   let reference = snd (List.hd engines) in
