@@ -1138,7 +1138,7 @@ let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker domains to run jobs on (1 = in the calling domain).")
+        ~doc:"Worker domains to run jobs on; they share one job queue and one cache.")
 
 let cache_capacity_arg =
   Arg.(
@@ -1154,17 +1154,18 @@ let no_metrics_arg =
 let batch_cmd =
   let run manifest jobs cache_capacity output no_metrics trace_out profile opt =
     let tracer = tracer_for trace_out in
-    let t =
-      Asim_batch.Runner.create ~cache_capacity ~tracer
-        ~force_want:(if profile then [ Asim_batch.Proto.Profile ] else [])
-        ~opt ()
-    in
-    let t0 = Obs_clock.now () in
-    let ic =
-      try open_in manifest
-      with Sys_error msg ->
-        prerr_endline ("asim: " ^ msg);
+    let fd =
+      try Unix.openfile manifest [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+      with Unix.Unix_error (e, _, _) ->
+        prerr_endline ("asim: " ^ manifest ^ ": " ^ Unix.error_message e);
         exit 2
+    in
+    (* a local session of the server: one worker domain per job slot *)
+    let server =
+      Asim_serve.Server.create
+        ~config:
+          { Asim_serve.Server.default_config with shards = jobs; cache_capacity; opt; tracer }
+        ()
     in
     let oc, close_oc =
       match output with
@@ -1173,16 +1174,17 @@ let batch_cmd =
           let oc = open_out path in
           (oc, fun () -> close_out oc)
     in
-    let next () = try Some (input_line ic) with End_of_file -> None in
     let emit line =
       output_string oc line;
       output_char oc '\n'
     in
-    let _jobs_run = Asim_batch.Runner.process t ~jobs ~next ~emit in
-    close_in ic;
+    let extra_want = if profile then [ Asim_batch.Proto.Profile ] else [] in
+    Asim_serve.Server.batch ~extra_want server fd emit;
+    Asim_serve.Server.drain server;
+    Unix.close fd;
     close_oc ();
     write_trace trace_out tracer;
-    let s = Asim_batch.Runner.summary t ~wall_s:(Obs_clock.now () -. t0) in
+    let s = Asim_serve.Server.summary server in
     if not no_metrics then prerr_string (Asim_batch.Metrics.to_string s);
     if s.Asim_batch.Metrics.errors + s.Asim_batch.Metrics.timeouts > 0 then exit 1
   in
@@ -1209,8 +1211,9 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "Run a JSONL manifest of simulation jobs on a worker-domain pool with a \
-          shared compiled-spec cache; emit one result line per job, in job order.")
+         "Run a JSONL manifest of simulation jobs as a local session of the \
+          $(b,serve) core (worker domains sharing one compiled-spec cache); emit \
+          one result line per request, in job order.")
     Term.(
       const run $ manifest_arg $ jobs_arg $ cache_capacity_arg $ output_arg
       $ no_metrics_arg $ trace_out_arg $ profile_arg $ opt_arg)
@@ -1267,7 +1270,7 @@ let serve_cmd =
             exit 2
         in
         let port = Asim_serve.Server.listen server (Unix.ADDR_INET (addr, port)) in
-        Printf.eprintf "asim serve: listening on %s:%d (%d shards)\n%!" host port
+        Printf.eprintf "asim serve: listening on %s:%d (%d workers)\n%!" host port
           jobs;
         (match port_file with
         | Some path -> write_text_file path (string_of_int port ^ "\n")
@@ -1276,7 +1279,7 @@ let serve_cmd =
         finish ()
     | None, Some path ->
         ignore (Asim_serve.Server.listen server (Unix.ADDR_UNIX path));
-        Printf.eprintf "asim serve: listening on %s (%d shards)\n%!" path jobs;
+        Printf.eprintf "asim serve: listening on %s (%d workers)\n%!" path jobs;
         Asim_serve.Server.serve server;
         finish ()
     | None, None ->
@@ -1290,7 +1293,7 @@ let serve_cmd =
       & info [ "socket" ] ~docv:"PATH"
           ~doc:
             "Listen on a Unix socket instead of stdin/stdout; connections are \
-             served concurrently and share the spec store and shard caches.")
+             served concurrently and share the spec store and the cache.")
   in
   let tcp_arg =
     Arg.(
@@ -1331,14 +1334,16 @@ let serve_cmd =
       value & opt int 256
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:
-            "Jobs a shard will queue before answering $(b,overload) (explicit \
-             backpressure).")
+            "Jobs the shared queue holds; a job that finds it full waits at \
+             admission, and its client is not read meanwhile.")
   in
   let max_in_flight_arg =
     Arg.(
       value & opt int 64
       & info [ "max-in-flight" ] ~docv:"N"
-          ~doc:"Unanswered jobs one client may have before being $(b,rejected).")
+          ~doc:
+            "Unanswered jobs one client may have; its next job waits at \
+             admission, and the client is not read meanwhile.")
   in
   let max_line_bytes_arg =
     Arg.(
@@ -1373,8 +1378,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "The simulation service: accept JSONL jobs on stdin, a Unix socket or \
-          a TCP port; route them to hash-sharded worker domains with warm \
-          compiled-spec caches; stream results back in completion order.  \
+          a TCP port; run them on worker domains that share one queue and one \
+          compiled-spec cache; stream results back in completion order.  \
           Specs can be uploaded once ($(b,{\"control\":\"upload\",...})) and \
           submitted by hash.  SIGINT/SIGTERM drain and exit cleanly.")
     Term.(

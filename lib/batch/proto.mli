@@ -7,14 +7,18 @@
     result lines are byte-identical across [--jobs] settings. *)
 
 type source =
-  | File of string  (** ["spec_file"]: path to a specification *)
+  | File of string
+      (** ["spec_file"]: path to a specification.  Only local sessions
+          (stdio [asim serve], [asim batch]) read it; a socket client's
+          such job is refused at admission. *)
   | Inline of string  (** ["spec"]: the specification source itself *)
   | Example of string  (** ["example"]: a built-in {!Asim.Specs} name *)
   | Hash of string
       (** ["spec_hash"]: the canonical-form MD5 of a spec previously
           uploaded to the serving layer's content-addressed store
-          (lowercased on decode).  Only [asim serve] can resolve it;
-          [asim batch] answers such jobs with a structured error. *)
+          (lowercased on decode).  The server resolves it at admission, in
+          [asim serve] and [asim batch] alike; an unknown hash gets a
+          structured error. *)
 
 type want =
   | Outputs  (** final value of every component *)

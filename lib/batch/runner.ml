@@ -6,19 +6,11 @@ type t = {
   cache : Asim_analysis.Analysis.t Cache.t;
   metrics : Metrics.t;
   tracer : Tracer.t;
-  force_want : Proto.want list;
   opt : Asim.Opt.level;
 }
 
-let create ?(cache_capacity = 64) ?metrics ?(tracer = Tracer.null)
-    ?(force_want = []) ?(opt = Asim.Opt.O2) () =
-  {
-    cache = Cache.create ~capacity:cache_capacity;
-    metrics = (match metrics with Some m -> m | None -> Metrics.create ());
-    tracer;
-    force_want;
-    opt;
-  }
+let create ?(cache_capacity = 64) ?(tracer = Tracer.null) ?(opt = Asim.Opt.O2) () =
+  { cache = Cache.create ~capacity:cache_capacity; metrics = Metrics.create (); tracer; opt }
 
 let metrics t = t.metrics
 let cache_stats t = Cache.stats t.cache
@@ -35,12 +27,7 @@ let cache_key ~opt ~keep_all spec =
 
 let resolve_source = function
   | Proto.Inline s -> s
-  | Proto.Hash h ->
-      failwith
-        (Printf.sprintf
-           "job names spec by hash %s but this mode has no spec store (upload/submit \
-            by hash needs asim serve)"
-           h)
+  | Proto.Hash h -> failwith (Printf.sprintf "unknown spec hash %s" h)
   | Proto.File path ->
       let ic = open_in_bin path in
       Fun.protect
@@ -130,17 +117,6 @@ let memory_images (analysis : Asim.Analysis.t) (m : Asim.Machine.t) =
     analysis.Asim_analysis.Analysis.spec.Spec.components
 
 let run_job t (job : Proto.job) =
-  let job =
-    match t.force_want with
-    | [] -> job
-    | extra ->
-        {
-          job with
-          Proto.want =
-            job.Proto.want
-            @ List.filter (fun w -> not (List.mem w job.Proto.want)) extra;
-        }
-  in
   (* Client identity rides on a derived tracer, so every span the job emits
      — pipeline stages, batch internals, codegen, engine internals like
      tiered.swap — carries [id]/[trace_id] and one Perfetto filter
@@ -300,89 +276,3 @@ let run_job t (job : Proto.job) =
     ~status:(Proto.status_class outcome.Proto.status)
     ~elapsed:outcome.Proto.elapsed_s;
   outcome
-
-let prometheus t =
-  Metrics.set_cache t.metrics (Cache.stats t.cache);
-  Asim_obs.Registry.to_prometheus (Metrics.registry t.metrics)
-
-(* --- the JSONL stream driver ------------------------------------------------ *)
-
-let is_blank line = String.trim line = ""
-
-let malformed_result t ~index ~lineno msg =
-  Metrics.record t.metrics ~engine:"manifest" ~status:`Error ~elapsed:0.0;
-  Json.to_string
-    (Json.Obj
-       [
-         ("index", Json.Int index);
-         ("line", Json.Int lineno);
-         ("status", Json.String "error");
-         ("error", Json.String (Printf.sprintf "line %d: %s" lineno msg));
-       ])
-
-let metrics_result t ~index =
-  Json.to_string
-    (Json.Obj
-       [
-         ("index", Json.Int index);
-         ("control", Json.String "metrics");
-         ("status", Json.String "ok");
-         ("metrics", Json.String (prometheus t));
-       ])
-
-let process t ~jobs ~next ~emit =
-  let tr = t.tracer in
-  let pool =
-    Pool.create ~jobs
-      ~on_crash:(fun index exn ->
-        Metrics.record t.metrics ~engine:"internal" ~status:`Error ~elapsed:0.0;
-        Json.to_string
-          (Json.Obj
-             [
-               ("index", Json.Int index);
-               ("status", Json.String "error");
-               ("error", Json.String ("internal: " ^ Printexc.to_string exn));
-             ]))
-      ~emit:(fun index line ->
-        Tracer.span tr
-          ~args:[ ("index", string_of_int index) ]
-          "batch.emit"
-          (fun () -> emit line))
-  in
-  let lineno = ref 0 in
-  let rec pump () =
-    match next () with
-    | None -> ()
-    | Some line ->
-        incr lineno;
-        let lineno = !lineno in
-        if not (is_blank line) then begin
-          let submitted = if Tracer.is_active tr then Clock.now () else 0.0 in
-          Pool.submit pool (fun index ->
-              if Tracer.is_active tr then
-                Tracer.span_at tr
-                  ~args:[ ("index", string_of_int index) ]
-                  "batch.queue_wait" ~ts:submitted
-                  ~dur:(Clock.now () -. submitted);
-              Tracer.span tr
-                ~args:[ ("index", string_of_int index); ("line", string_of_int lineno) ]
-                "batch.worker_execute"
-                (fun () ->
-                  match Json.parse line with
-                  | exception Json.Parse_error msg -> malformed_result t ~index ~lineno msg
-                  | json -> (
-                      match Proto.request_of_json json with
-                      | Error msg -> malformed_result t ~index ~lineno msg
-                      | Ok Proto.Metrics -> metrics_result t ~index
-                      | Ok (Proto.Upload _) ->
-                          malformed_result t ~index ~lineno
-                            "no spec store in batch mode (upload needs asim serve)"
-                      | Ok (Proto.Run job) ->
-                          Json.to_string (Proto.result_to_json ~index (run_job t job)))))
-        end;
-        pump ()
-  in
-  pump ();
-  Pool.finish pool
-
-let summary t ~wall_s = Metrics.summarize t.metrics ~cache:(Cache.stats t.cache) ~wall_s

@@ -1,38 +1,25 @@
 (** Job execution: resolve a spec, compile it through the cache, run it
-    under a deadline, collect requested observables — and the JSONL drivers
-    behind [asim batch] and [asim serve]. *)
+    under a deadline, collect requested observables.  The JSONL sessions of
+    [asim batch] and [asim serve] that feed it live in {!Asim_serve.Server}. *)
 
 type t
-(** A batch session: one compiled-spec cache plus one metrics accumulator,
-    shared by every worker domain. *)
+(** One compiled-spec cache plus one metrics accumulator, shared by every
+    worker domain that runs jobs on it. *)
 
 val create :
-  ?cache_capacity:int ->
-  ?metrics:Metrics.t ->
-  ?tracer:Asim_obs.Tracer.t ->
-  ?force_want:Proto.want list ->
-  ?opt:Asim.Opt.level ->
-  unit ->
-  t
-(** [cache_capacity] defaults to 64 analyzed specs.  [metrics] lets several
-    sessions share one accumulator — the serving layer gives every shard
-    its own cache (and so its own [t]) while keeping one set of job
-    counters and latency histograms.  [tracer] (default
-    {!Asim_obs.Tracer.null}) receives spans for batch internals — queue
-    wait, worker execute, cache lookup, emit — and for each pipeline stage
-    of every job (parse, analyze, build, simulate).  [force_want] is
-    unioned into every job's [want] list (how [asim batch --profile]
-    profiles a whole manifest without editing it).  [opt] (default [O2]) is
-    the session's middle-end level for jobs that don't name one in their
-    ["opt"] field; jobs wanting raw outputs pin every component live so the
-    middle-end cannot change what they observe. *)
+  ?cache_capacity:int -> ?tracer:Asim_obs.Tracer.t -> ?opt:Asim.Opt.level -> unit -> t
+(** [cache_capacity] defaults to 64 analyzed specs.  [tracer] (default
+    {!Asim_obs.Tracer.null}) receives the [batch.cache_lookup] span and one
+    span per pipeline stage of every job (parse, analyze, optimize, build,
+    simulate).  [opt] (default [O2]) is the level for jobs that don't name
+    one in their ["opt"] field; jobs wanting raw outputs pin every
+    component live so the middle-end cannot change what they observe. *)
 
 val metrics : t -> Metrics.t
-(** The session's metrics accumulator (the one passed to {!create}, or the
-    private one it made). *)
+(** The job metrics every {!run_job} records into. *)
 
 val cache_stats : t -> Cache.stats
-(** Live counters of this session's compiled-spec cache. *)
+(** Live counters of the compiled-spec cache. *)
 
 val cache_key : opt:Asim.Opt.level -> keep_all:bool -> Asim_core.Spec.t -> string
 (** The cache key: an MD5 content hash of the spec's canonical
@@ -59,21 +46,7 @@ val run_job : t -> Proto.job -> Proto.outcome
 (** Execute one job.  Never raises: spec resolution failures, runtime
     errors and deadline expiry all come back as structured statuses.
     Timeouts are cooperative — the deadline is polled between simulation
-    cycles, so it cannot interrupt spec parsing or compilation. *)
-
-val prometheus : t -> string
-(** The session's live metrics (jobs, latencies, cache) in Prometheus text
-    exposition format.  Refreshes the cache gauges before rendering. *)
-
-val process : t -> jobs:int -> next:(unit -> string option) -> emit:(string -> unit) -> int
-(** Drive a JSONL stream: pull manifest lines from [next] until it returns
-    [None], run them on a [jobs]-wide pool, and hand each rendered result
-    line (no trailing newline) to [emit] in job order.  Blank lines are
-    skipped; a malformed line yields an error result naming its 1-based
-    line number while the rest of the stream still runs.  A
-    [{"control":"metrics"}] line yields a result line carrying
-    {!prometheus} output instead of a simulation.  Returns the number of
-    result lines emitted. *)
-
-val summary : t -> wall_s:float -> Metrics.summary
-(** Metrics snapshot for the end-of-run report. *)
+    cycles, so it cannot interrupt spec parsing or compilation.  A
+    [spec_file] source is read here; a [spec_hash] source must already be
+    resolved to its text (the server does it at admission), or the job
+    fails. *)

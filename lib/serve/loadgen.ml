@@ -17,7 +17,6 @@ type report = {
   ok : int;
   errors : int;
   timeouts : int;
-  rejected : int;
   overloaded : int;
   dropped : int;
   duplicates : int;
@@ -37,7 +36,6 @@ type tally = {
   mutable t_ok : int;
   mutable t_errors : int;
   mutable t_timeouts : int;
-  mutable t_rejected : int;
   mutable t_overloaded : int;
   mutable t_dropped : int;
   mutable t_duplicates : int;
@@ -51,7 +49,6 @@ let fresh_tally () =
     t_ok = 0;
     t_errors = 0;
     t_timeouts = 0;
-    t_rejected = 0;
     t_overloaded = 0;
     t_dropped = 0;
     t_duplicates = 0;
@@ -207,8 +204,6 @@ let drive (cfg : config) ~cid tally =
                                     tally.t_ok <- tally.t_ok + 1
                                 | Some (Json.String "timeout") ->
                                     tally.t_timeouts <- tally.t_timeouts + 1
-                                | Some (Json.String "rejected") ->
-                                    tally.t_rejected <- tally.t_rejected + 1
                                 | Some (Json.String "overload") ->
                                     tally.t_overloaded <- tally.t_overloaded + 1
                                 | _ -> tally.t_errors <- tally.t_errors + 1
@@ -281,7 +276,6 @@ let run (cfg : config) =
     ok;
     errors = sum (fun t -> t.t_errors);
     timeouts = sum (fun t -> t.t_timeouts);
-    rejected = sum (fun t -> t.t_rejected);
     overloaded = sum (fun t -> t.t_overloaded);
     dropped = sum (fun t -> t.t_dropped);
     duplicates = sum (fun t -> t.t_duplicates);
@@ -305,7 +299,6 @@ let report_to_json r =
        ("ok", Json.Int r.ok);
        ("errors", Json.Int r.errors);
        ("timeouts", Json.Int r.timeouts);
-       ("rejected", Json.Int r.rejected);
        ("overloaded", Json.Int r.overloaded);
        ("dropped", Json.Int r.dropped);
        ("duplicates", Json.Int r.duplicates);
@@ -327,9 +320,9 @@ let report_to_string r =
   Buffer.add_string buf
     (Printf.sprintf
        "loadgen: %d connections, %d jobs (%d ok, %d errors, %d timeouts, %d \
-        rejected, %d overload) in %.3fs — %.1f jobs/sec\n"
-       r.connections r.jobs_sent r.ok r.errors r.timeouts r.rejected
-       r.overloaded r.wall_s r.jobs_per_sec);
+        overload) in %.3fs — %.1f jobs/sec\n"
+       r.connections r.jobs_sent r.ok r.errors r.timeouts r.overloaded r.wall_s
+       r.jobs_per_sec);
   Buffer.add_string buf
     (Printf.sprintf
        "integrity: %d dropped, %d duplicated, %d upload failures\n" r.dropped

@@ -24,8 +24,7 @@ type report = {
   ok : int;
   errors : int;
   timeouts : int;
-  rejected : int;  (** quota refusals *)
-  overloaded : int;  (** queue-full / draining refusals *)
+  overloaded : int;  (** refusals of a draining server *)
   dropped : int;  (** requests that never got a reply *)
   duplicates : int;  (** indices answered more than once *)
   upload_failures : int;

@@ -1,7 +1,6 @@
 module Json = Asim_batch.Json
 module Proto = Asim_batch.Proto
 module Runner = Asim_batch.Runner
-module Cache = Asim_batch.Cache
 module Metrics = Asim_batch.Metrics
 module Registry = Asim_obs.Registry
 module Clock = Asim_obs.Clock
@@ -35,12 +34,13 @@ let default_config =
 type client = {
   cid : int;
   rfd : Unix.file_descr;
-  wfd : Unix.file_descr;
-  wmutex : Mutex.t;  (** guards [alive], all writes to [wfd], and the close *)
-  mutable alive : bool;
+  reply : int -> string -> bool;
+      (** hand over the reply to request [index]; false if it could not be
+          delivered *)
+  hang_up : unit -> unit;  (** the session is over: no reply follows *)
+  socket : bool;  (** accepted on a listener, so never trusted with a path *)
+  extra_want : Proto.want list;  (** unioned into every job's [want] *)
   mutable in_flight : int;  (** admitted jobs not yet answered; under [t.mutex] *)
-  tcp : bool;
-  close_on_exit : bool;
 }
 
 type task = {
@@ -50,27 +50,22 @@ type task = {
   t_admitted : float;
 }
 
-type shard = {
-  sid : int;
-  runner : Runner.t;
-  smutex : Mutex.t;  (** guards [queue] and [stopping] — admission and exit
-                         decide under the same lock, so no task is ever
-                         enqueued after its worker has gone *)
-  scond : Condition.t;
-  queue : task Queue.t;
-  mutable stopping : bool;
-  mutable domain : unit Domain.t option;
-}
-
 type t = {
   cfg : config;
   registry : Registry.t;  (** serve-layer [asim_serve_*] families *)
-  metrics : Metrics.t;  (** job metrics shared by every shard runner *)
+  runner : Runner.t;  (** one compiled-spec cache and job metrics for every worker *)
   store : Store.t;
-  shards : shard array;
-  mutex : Mutex.t;  (** guards [clients], [readers], [draining], [drained]
-                        and every [client.in_flight] *)
-  cond : Condition.t;  (** broadcast whenever an in-flight count drops *)
+  mutex : Mutex.t;
+      (** guards [queue], [workers], [clients], [readers], [draining],
+          [drained] and every [client.in_flight] — admission and worker
+          exit decide under the same lock, so no task is ever queued after
+          the workers have gone *)
+  cond : Condition.t;
+      (** broadcast whenever an in-flight count drops, the queue shrinks or
+          draining starts *)
+  work : Condition.t;  (** a task was queued, or draining started *)
+  queue : task Queue.t;
+  mutable workers : unit Domain.t list;
   mutable clients : client list;
   mutable readers : Thread.t list;
   mutable listeners : Unix.file_descr list;
@@ -91,10 +86,14 @@ type t = {
   connections_c : Registry.counter;
   connected_g : Registry.gauge;
   dropped_c : Registry.counter;
+  queue_depth_g : Registry.gauge;
+  queue_wait_h : Registry.histogram;
+  duration_h : Registry.histogram;
 }
 
 let config t = t.cfg
 let store t = t.store
+let metrics t = Runner.metrics t.runner
 
 let on_drain t hook =
   Mutex.lock t.mutex;
@@ -125,36 +124,23 @@ let log_json t oc =
          with Sys_error _ -> ());
         Mutex.unlock t.log_mutex)
 
-let shard_label sid = [ ("shard", string_of_int sid) ]
-
 let requests_c t kind =
   Registry.counter t.registry ~help:"Requests received, by kind"
     ~labels:[ ("kind", kind) ]
     "asim_serve_requests_total"
 
 let rejected_c t reason =
-  Registry.counter t.registry ~help:"Jobs refused at admission, by reason"
+  Registry.counter t.registry
+    ~help:"Jobs refused, or held back while their client or the queue was full, by reason"
     ~labels:[ ("reason", reason) ]
     "asim_serve_rejected_total"
 
-let shard_jobs_c t sid status =
-  Registry.counter t.registry ~help:"Jobs finished per shard, by status"
-    ~labels:(shard_label sid @ [ ("status", status) ])
+let jobs_c t status =
+  Registry.counter t.registry ~help:"Jobs finished, by status"
+    ~labels:[ ("status", status) ]
     "asim_serve_jobs_total"
 
-let shard_duration_h t sid =
-  Registry.histogram t.registry ~help:"Job execution wall time per shard"
-    ~labels:(shard_label sid) "asim_serve_job_duration_seconds"
-
-let queue_wait_h t sid =
-  Registry.histogram t.registry ~help:"Admission-to-pickup wait per shard"
-    ~labels:(shard_label sid) "asim_serve_queue_wait_seconds"
-
-let queue_depth_g t sid =
-  Registry.gauge t.registry ~help:"Queued jobs per shard" ~labels:(shard_label sid)
-    "asim_serve_queue_depth"
-
-(* --- writing replies -------------------------------------------------------- *)
+(* --- replies ---------------------------------------------------------------- *)
 
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
@@ -167,27 +153,62 @@ let write_all fd s =
   in
   go 0
 
-(* Send one reply line.  A client whose connection broke stays registered
-   (its jobs still run and decrement in-flight) but is marked dead so no
-   write ever touches a possibly-reused descriptor. *)
-let send client line =
-  Mutex.lock client.wmutex;
-  let ok =
-    client.alive
-    &&
-    match write_all client.wfd (line ^ "\n") with
-    | () -> true
-    | exception (Unix.Unix_error _ | Sys_error _) ->
-        client.alive <- false;
-        false
+(* A stream client's replies go out on its descriptor as they come, in
+   completion order.  A client whose connection broke stays registered (its
+   jobs still run and decrement in-flight) but is marked dead so no write
+   ever touches a possibly-reused descriptor. *)
+let writer ~close_on_exit rfd wfd =
+  let m = Mutex.create () and alive = ref true in
+  let reply _index line =
+    Mutex.lock m;
+    let ok =
+      !alive
+      &&
+      match write_all wfd (line ^ "\n") with
+      | () -> true
+      | exception (Unix.Unix_error _ | Sys_error _) ->
+          alive := false;
+          false
+    in
+    Mutex.unlock m;
+    ok
   in
-  Mutex.unlock client.wmutex;
-  ok
+  let hang_up () =
+    Mutex.lock m;
+    alive := false;
+    if close_on_exit then begin
+      (try Unix.close rfd with Unix.Unix_error _ -> ());
+      if wfd <> rfd then try Unix.close wfd with Unix.Unix_error _ -> ()
+    end;
+    Mutex.unlock m
+  in
+  (reply, hang_up)
 
-let send_result t client line =
-  if not (send client line) then Registry.inc t.dropped_c
+(* A batch session's replies are held until every lower index has been
+   emitted, so its output is in job order whatever the workers do.  [emit]
+   runs under the lock, one line at a time; what it raises is dropped. *)
+let in_order tracer emit =
+  let m = Mutex.create () and held = Hashtbl.create 64 and next = ref 0 in
+  let rec flush () =
+    match Hashtbl.find_opt held !next with
+    | None -> ()
+    | Some line ->
+        Hashtbl.remove held !next;
+        Tracer.span tracer ~args:[ ("index", string_of_int !next) ] "batch.emit"
+          (fun () -> try emit line with _ -> ());
+        incr next;
+        flush ()
+  in
+  let reply index line =
+    Mutex.lock m;
+    Hashtbl.replace held index line;
+    flush ();
+    Mutex.unlock m;
+    true
+  in
+  reply
 
-(* --- reply shapes ----------------------------------------------------------- *)
+let send client index line = ignore (client.reply index line : bool)
 
 let obj_line fields = Json.to_string (Json.Obj fields)
 
@@ -195,7 +216,7 @@ let with_id id fields =
   match id with Some i -> ("id", Json.String i) :: fields | None -> fields
 
 let malformed_line t ~index ~lineno msg =
-  Metrics.record t.metrics ~engine:"manifest" ~status:`Error ~elapsed:0.0;
+  Metrics.record (metrics t) ~engine:"manifest" ~status:`Error ~elapsed:0.0;
   obj_line
     [
       ("index", Json.Int index);
@@ -210,7 +231,7 @@ let refusal_line ~index ~id ~status msg =
     :: with_id id
          [ ("status", Json.String status); ("error", Json.String msg) ])
 
-(* --- the shard workers ------------------------------------------------------ *)
+(* --- the workers ------------------------------------------------------------ *)
 
 let finish_job t client =
   Mutex.lock t.mutex;
@@ -218,11 +239,10 @@ let finish_job t client =
   Condition.broadcast t.cond;
   Mutex.unlock t.mutex
 
-let run_task t shard task =
+let run_task t task =
   let tr = t.cfg.tracer in
   let attrs =
-    ("shard", string_of_int shard.sid)
-    :: ("index", string_of_int task.t_index)
+    ("index", string_of_int task.t_index)
     :: ((match task.t_job.Proto.id with Some id -> [ ("id", id) ] | None -> [])
        @
        match task.t_job.Proto.trace_id with
@@ -230,14 +250,14 @@ let run_task t shard task =
        | None -> [])
   in
   let picked = Clock.now () in
-  Registry.observe (queue_wait_h t shard.sid) (picked -. task.t_admitted);
+  Registry.observe t.queue_wait_h (picked -. task.t_admitted);
   if Tracer.is_active tr then
     Tracer.span_at tr ~args:attrs "serve.queue_wait" ~ts:task.t_admitted
       ~dur:(picked -. task.t_admitted);
   let line, status =
     match
       Tracer.span tr ~args:attrs "serve.execute" (fun () ->
-          Runner.run_job shard.runner task.t_job)
+          Runner.run_job t.runner task.t_job)
     with
     | outcome ->
         ( Json.to_string (Proto.result_to_json ~index:task.t_index outcome),
@@ -247,7 +267,7 @@ let run_task t shard task =
           | Proto.Timeout _ -> "timeout") )
     | exception exn ->
         (* crash isolation: a worker survives anything a job throws *)
-        Metrics.record t.metrics ~engine:"internal" ~status:`Error ~elapsed:0.0;
+        Metrics.record (metrics t) ~engine:"internal" ~status:`Error ~elapsed:0.0;
         ( obj_line
             [
               ("index", Json.Int task.t_index);
@@ -256,30 +276,65 @@ let run_task t shard task =
             ],
           "error" )
   in
-  Registry.inc (shard_jobs_c t shard.sid status);
-  Registry.observe (shard_duration_h t shard.sid) (Clock.now () -. picked);
-  send_result t task.t_client line;
+  Registry.inc (jobs_c t status);
+  Registry.observe t.duration_h (Clock.now () -. picked);
+  if not (task.t_client.reply task.t_index line) then Registry.inc t.dropped_c;
   finish_job t task.t_client
 
-let worker t shard =
+(* Every worker pops the one queue, so an idle worker takes the next job
+   whatever spec it names; the shared cache keeps repeat specs warm. *)
+let worker t =
   let rec loop () =
-    Mutex.lock shard.smutex;
-    while Queue.is_empty shard.queue && not shard.stopping do
-      Condition.wait shard.scond shard.smutex
+    Mutex.lock t.mutex;
+    while Queue.is_empty t.queue && not t.draining do
+      Condition.wait t.work t.mutex
     done;
-    if Queue.is_empty shard.queue then Mutex.unlock shard.smutex
-      (* stopping with a dry queue: every admitted job is answered *)
-    else begin
-      let task = Queue.pop shard.queue in
-      Registry.set (queue_depth_g t shard.sid) (float_of_int (Queue.length shard.queue));
-      Mutex.unlock shard.smutex;
-      run_task t shard task;
-      loop ()
-    end
+    match Queue.take_opt t.queue with
+    | None ->
+        (* draining with a dry queue: every admitted job is answered *)
+        Mutex.unlock t.mutex
+    | Some task ->
+        Registry.set t.queue_depth_g (float_of_int (Queue.length t.queue));
+        Condition.broadcast t.cond;
+        Mutex.unlock t.mutex;
+        run_task t task;
+        loop ()
   in
   loop ()
 
 (* --- admission -------------------------------------------------------------- *)
+
+(* A job whose client is at its quota, or that finds the queue full, waits
+   here in its client's reader — which stops reading, so the client meets
+   TCP backpressure instead of a refusal.  Only a draining server refuses. *)
+let enqueue t client ~index job =
+  Mutex.lock t.mutex;
+  let rec wait ~held =
+    if t.draining then false
+    else
+      let reason =
+        if client.in_flight >= t.cfg.max_in_flight then Some "quota"
+        else if Queue.length t.queue >= t.cfg.queue_depth then Some "queue_full"
+        else None
+      in
+      match reason with
+      | None -> true
+      | Some reason ->
+          if not held then Registry.inc (rejected_c t reason);
+          Condition.wait t.cond t.mutex;
+          wait ~held:true
+  in
+  let admitted = wait ~held:false in
+  if admitted then begin
+    client.in_flight <- client.in_flight + 1;
+    Queue.push
+      { t_client = client; t_index = index; t_job = job; t_admitted = Clock.now () }
+      t.queue;
+    Registry.set t.queue_depth_g (float_of_int (Queue.length t.queue));
+    Condition.signal t.work
+  end;
+  Mutex.unlock t.mutex;
+  admitted
 
 let admit t client ~index (job : Proto.job) =
   Registry.inc (requests_c t "job");
@@ -292,111 +347,51 @@ let admit t client ~index (job : Proto.job) =
       :: ("reason", Json.String reason)
       :: ("status", Json.String status)
       :: (match id with Some i -> [ ("id", Json.String i) ] | None -> []));
-    send client (refusal_line ~index ~id ~status msg) |> ignore
+    send client index (refusal_line ~index ~id ~status msg)
   in
   (* resolve the spec store up front: unknown hashes fail fast, and workers
-     never need the store at all *)
-  let job =
+     never need the store at all; a remote client may not make the server
+     read its files *)
+  let source =
     match job.Proto.source with
     | Proto.Hash h -> (
         match Store.find t.store h with
-        | Some canonical -> Ok { job with Proto.source = Proto.Inline canonical }
-        | None -> Error h)
-    | _ -> Ok job
+        | Some canonical -> Ok (Proto.Inline canonical)
+        | None ->
+            Error ("unknown_hash", Printf.sprintf "unknown spec hash %s (upload it first)" h))
+    | Proto.File _ when client.socket ->
+        Error
+          ( "spec_file",
+            "spec_file is only read in a local session; send the spec inline or \
+             upload it" )
+    | source -> Ok source
   in
-  match job with
-  | Error h ->
-      refuse ~reason:"unknown_hash" ~status:"error"
-        (Printf.sprintf "unknown spec hash %s (upload it first)" h)
-  | Ok job -> (
+  match source with
+  | Error (reason, msg) ->
+      Metrics.record (metrics t)
+        ~engine:(Asim.engine_to_string job.Proto.engine)
+        ~status:`Error ~elapsed:0.0;
+      refuse ~reason ~status:"error" msg
+  | Ok source ->
       let job =
-        match job.Proto.timeout_s with
-        | Some _ -> job
-        | None -> { job with Proto.timeout_s = t.cfg.default_timeout_s }
+        {
+          job with
+          Proto.source;
+          timeout_s =
+            (match job.Proto.timeout_s with
+            | Some _ as budget -> budget
+            | None -> t.cfg.default_timeout_s);
+          want =
+            job.Proto.want
+            @ List.filter (fun w -> not (List.mem w job.Proto.want)) client.extra_want;
+        }
       in
-      let digest = Router.digest_of_source job.Proto.source in
-      let shard = t.shards.(Router.shard_of_digest ~shards:t.cfg.shards digest) in
-      Mutex.lock t.mutex;
-      let verdict =
-        if t.draining then `Draining
-        else if client.in_flight >= t.cfg.max_in_flight then `Quota
-        else begin
-          client.in_flight <- client.in_flight + 1;
-          `Admitted
-        end
-      in
-      Mutex.unlock t.mutex;
-      match verdict with
-      | `Draining ->
-          refuse ~reason:"draining" ~status:"overload" "server draining"
-      | `Quota ->
-          refuse ~reason:"quota" ~status:"rejected"
-            (Printf.sprintf
-               "in-flight quota exceeded (%d jobs); wait for results before \
-                submitting more"
-               t.cfg.max_in_flight)
-      | `Admitted -> (
-          let task =
-            { t_client = client; t_index = index; t_job = job; t_admitted = Clock.now () }
-          in
-          Mutex.lock shard.smutex;
-          let pushed =
-            if shard.stopping then `Draining
-            else if Queue.length shard.queue >= t.cfg.queue_depth then `Full
-            else begin
-              Queue.push task shard.queue;
-              Registry.set (queue_depth_g t shard.sid)
-                (float_of_int (Queue.length shard.queue));
-              Condition.signal shard.scond;
-              `Pushed
-            end
-          in
-          Mutex.unlock shard.smutex;
-          match pushed with
-          | `Pushed -> ()
-          | `Draining ->
-              finish_job t client;
-              refuse ~reason:"draining" ~status:"overload" "server draining"
-          | `Full ->
-              finish_job t client;
-              refuse ~reason:"queue_full" ~status:"overload"
-                (Printf.sprintf
-                   "shard %d queue full (%d jobs queued); retry later" shard.sid
-                   t.cfg.queue_depth)))
+      if not (enqueue t client ~index job) then
+        refuse ~reason:"draining" ~status:"overload" "server draining"
 
 (* --- observability ---------------------------------------------------------- *)
 
-let aggregate_cache_stats t =
-  Array.fold_left
-    (fun (acc : Cache.stats) s ->
-      let st = Runner.cache_stats s.runner in
-      {
-        Cache.hits = acc.Cache.hits + st.Cache.hits;
-        misses = acc.Cache.misses + st.Cache.misses;
-        evictions = acc.Cache.evictions + st.Cache.evictions;
-        entries = acc.Cache.entries + st.Cache.entries;
-        capacity = acc.Cache.capacity + st.Cache.capacity;
-      })
-    { Cache.hits = 0; misses = 0; evictions = 0; entries = 0; capacity = 0 }
-    t.shards
-
 let refresh_gauges t =
-  Array.iter
-    (fun s ->
-      let st = Runner.cache_stats s.runner in
-      let g name help =
-        Registry.gauge t.registry ~help ~labels:(shard_label s.sid) name
-      in
-      Registry.set
-        (g "asim_serve_shard_cache_hits" "Compiled-spec cache hits per shard")
-        (float_of_int st.Cache.hits);
-      Registry.set
-        (g "asim_serve_shard_cache_misses" "Compiled-spec cache misses per shard")
-        (float_of_int st.Cache.misses);
-      Registry.set
-        (g "asim_serve_shard_cache_entries" "Compiled-spec cache entries per shard")
-        (float_of_int st.Cache.entries))
-    t.shards;
   let g name help = Registry.gauge t.registry ~help name in
   Registry.set
     (g "asim_serve_store_specs" "Specs held by the content-addressed store")
@@ -407,15 +402,14 @@ let refresh_gauges t =
   Registry.set
     (g "asim_serve_store_uploads" "Upload requests accepted, fresh or duplicate")
     (float_of_int (Store.uploads t.store));
-  Metrics.set_cache t.metrics (aggregate_cache_stats t)
+  Metrics.set_cache (metrics t) (Runner.cache_stats t.runner)
 
 let prometheus t =
   refresh_gauges t;
-  Registry.to_prometheus t.registry
-  ^ Registry.to_prometheus (Metrics.registry t.metrics)
+  Registry.to_prometheus t.registry ^ Registry.to_prometheus (Metrics.registry (metrics t))
 
 let summary t =
-  Metrics.summarize t.metrics ~cache:(aggregate_cache_stats t)
+  Metrics.summarize (metrics t) ~cache:(Runner.cache_stats t.runner)
     ~wall_s:(Clock.now () -. t.started)
 
 let write_metrics_file t path =
@@ -430,8 +424,7 @@ let write_metrics_file t path =
 
 (* The metrics barrier: a control request only answers once every job this
    client already admitted has been answered, so a pipelined
-   job-then-metrics script observes its own jobs in the counters — the
-   sequential semantics the stdio loop always had. *)
+   job-then-metrics script observes its own jobs in the counters. *)
 let metrics_reply t client ~index =
   Registry.inc (requests_c t "metrics");
   Mutex.lock t.mutex;
@@ -472,27 +465,27 @@ let upload_reply t ~index (u : Proto.upload) =
              ])
 
 let handle_line t client ~index ~lineno line =
-  match Json.parse line with
-  | exception Json.Parse_error msg ->
+  let request =
+    match Json.parse line with
+    | exception Json.Parse_error msg -> Error msg
+    | json -> Proto.request_of_json json
+  in
+  match request with
+  | Error msg ->
       Registry.inc (requests_c t "malformed");
-      send client (malformed_line t ~index ~lineno msg) |> ignore
-  | json -> (
-      match Proto.request_of_json json with
-      | Error msg ->
-          Registry.inc (requests_c t "malformed");
-          send client (malformed_line t ~index ~lineno msg) |> ignore
-      | Ok Proto.Metrics -> send client (metrics_reply t client ~index) |> ignore
-      | Ok (Proto.Upload u) -> send client (upload_reply t ~index u) |> ignore
-      | Ok (Proto.Run job) -> admit t client ~index job)
+      send client index (malformed_line t ~index ~lineno msg)
+  | Ok Proto.Metrics -> send client index (metrics_reply t client ~index)
+  | Ok (Proto.Upload u) -> send client index (upload_reply t ~index u)
+  | Ok (Proto.Run job) -> admit t client ~index job
 
 (* --- the per-client reader -------------------------------------------------- *)
 
 let is_blank line = String.trim line = ""
 
-(* Bounded line reader over a raw descriptor.  A line past the limit is
+(* Line reader over a raw descriptor.  A line past [max_line] bytes is
    discarded byte-by-byte until its newline and answered with a structured
    error — the connection survives. *)
-let read_loop t client =
+let read_loop t client ~max_line =
   let buf = Buffer.create 512 in
   let chunk = Bytes.create 8192 in
   let oversized = ref false in
@@ -506,11 +499,9 @@ let read_loop t client =
       oversized := false;
       Registry.inc (requests_c t "malformed");
       Registry.inc (rejected_c t "oversized");
-      let reply =
-        malformed_line t ~index:!index ~lineno:!lineno
-          (Printf.sprintf "request line exceeds %d bytes" t.cfg.max_line_bytes)
-      in
-      send client reply |> ignore;
+      send client !index
+        (malformed_line t ~index:!index ~lineno:!lineno
+           (Printf.sprintf "request line exceeds %d bytes" max_line));
       incr index
     end
     else if not (is_blank line) then begin
@@ -525,7 +516,7 @@ let read_loop t client =
   let append s =
     if not !oversized then begin
       Buffer.add_string buf s;
-      if Buffer.length buf > t.cfg.max_line_bytes then begin
+      if Buffer.length buf > max_line then begin
         oversized := true;
         Buffer.clear buf
       end
@@ -556,17 +547,16 @@ let read_loop t client =
   in
   loop ()
 
-let register_client t ~tcp ~close_on_exit rfd wfd =
+let register_client t ~socket ?(extra_want = []) rfd (reply, hang_up) =
   let client =
     {
       cid = Atomic.fetch_and_add t.next_cid 1;
       rfd;
-      wfd;
-      wmutex = Mutex.create ();
-      alive = true;
+      reply;
+      hang_up;
+      socket;
+      extra_want;
       in_flight = 0;
-      tcp;
-      close_on_exit;
     }
   in
   Registry.inc t.connections_c;
@@ -574,7 +564,7 @@ let register_client t ~tcp ~close_on_exit rfd wfd =
   log_event t "accept"
     [
       ("client", Json.Int client.cid);
-      ("transport", Json.String (if tcp then "tcp" else "pipe"));
+      ("transport", Json.String (if socket then "tcp" else "pipe"));
     ];
   Mutex.lock t.mutex;
   t.clients <- client :: t.clients;
@@ -582,12 +572,12 @@ let register_client t ~tcp ~close_on_exit rfd wfd =
   Mutex.unlock t.mutex;
   (* a client that slipped in while shutdown was unblocking readers would
      otherwise block drain forever *)
-  if (draining || Atomic.get t.stop) && tcp then
+  if (draining || Atomic.get t.stop) && socket then
     (try Unix.shutdown rfd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ());
   client
 
-let session t client =
-  read_loop t client;
+let session t client ~max_line =
+  read_loop t client ~max_line;
   (* EOF (or shutdown): the request stream is over, but admitted jobs still
      owe replies — stream them out before hanging up *)
   Mutex.lock t.mutex;
@@ -595,14 +585,7 @@ let session t client =
     Condition.wait t.cond t.mutex
   done;
   Mutex.unlock t.mutex;
-  Mutex.lock client.wmutex;
-  client.alive <- false;
-  if client.close_on_exit then begin
-    (try Unix.close client.rfd with Unix.Unix_error _ -> ());
-    if client.wfd <> client.rfd then
-      try Unix.close client.wfd with Unix.Unix_error _ -> ()
-  end;
-  Mutex.unlock client.wmutex;
+  client.hang_up ();
   Registry.gauge_add t.connected_g (-1.0);
   log_event t "disconnect" [ ("client", Json.Int client.cid) ];
   Mutex.lock t.mutex;
@@ -614,6 +597,9 @@ let session t client =
 let unblock t =
   Mutex.lock t.mutex;
   t.draining <- true;
+  (* wake every reader waiting at admission, and every idle worker *)
+  Condition.broadcast t.cond;
+  Condition.broadcast t.work;
   let listeners = t.listeners in
   t.listeners <- [];
   let clients = t.clients in
@@ -627,7 +613,7 @@ let unblock t =
     listeners;
   List.iter
     (fun c ->
-      if c.tcp then
+      if c.socket then
         try Unix.shutdown c.rfd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
     clients
 
@@ -637,7 +623,6 @@ let watcher_loop t =
     match Unix.read t.wake_r b 0 1 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
     | exception Unix.Unix_error (_, _, _) -> ()
-    | 0 -> ()
     | _ -> ()
   in
   wait ();
@@ -662,32 +647,21 @@ let create ?(config = default_config) () =
   in
   (* broken pipes must surface as EPIPE on the write, not kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let metrics = Metrics.create () in
   let registry = Registry.create () in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  let shards =
-    Array.init config.shards (fun sid ->
-        {
-          sid;
-          runner =
-            Runner.create ~cache_capacity:config.cache_capacity ~metrics
-              ~tracer:config.tracer ~opt:config.opt ();
-          smutex = Mutex.create ();
-          scond = Condition.create ();
-          queue = Queue.create ();
-          stopping = false;
-          domain = None;
-        })
-  in
   let t =
     {
       cfg = config;
       registry;
-      metrics;
+      runner =
+        Runner.create ~cache_capacity:config.cache_capacity ~tracer:config.tracer
+          ~opt:config.opt ();
       store = Store.create ~capacity:config.store_capacity ();
-      shards;
       mutex = Mutex.create ();
       cond = Condition.create ();
+      work = Condition.create ();
+      queue = Queue.create ();
+      workers = [];
       clients = [];
       readers = [];
       listeners = [];
@@ -715,9 +689,17 @@ let create ?(config = default_config) () =
         Registry.counter registry
           ~help:"Job results that could not be delivered (client gone)"
           "asim_serve_dropped_results_total";
+      queue_depth_g =
+        Registry.gauge registry ~help:"Jobs queued for a worker" "asim_serve_queue_depth";
+      queue_wait_h =
+        Registry.histogram registry ~help:"Admission-to-pickup wait"
+          "asim_serve_queue_wait_seconds";
+      duration_h =
+        Registry.histogram registry ~help:"Job execution wall time"
+          "asim_serve_job_duration_seconds";
     }
   in
-  Array.iter (fun s -> s.domain <- Some (Domain.spawn (fun () -> worker t s))) shards;
+  t.workers <- List.init config.shards (fun _ -> Domain.spawn (fun () -> worker t));
   t.watcher <- Some (Thread.create watcher_loop t);
   t
 
@@ -759,7 +741,7 @@ let drain t =
   Mutex.lock t.mutex;
   if t.drained then Mutex.unlock t.mutex
   else if t.draining && t.clients = [] && t.readers = [] && t.listeners = []
-          && Array.for_all (fun s -> s.domain = None) t.shards
+          && t.workers = []
   then begin
     t.drained <- true;
     Mutex.unlock t.mutex;
@@ -768,23 +750,13 @@ let drain t =
   else begin
     Mutex.unlock t.mutex;
     log_event t "drain" [];
+    (* no admission after this: the workers run the queue dry and exit *)
     unblock t;
-    (* run every admitted job dry, then retire the workers *)
-    Array.iter
-      (fun s ->
-        Mutex.lock s.smutex;
-        s.stopping <- true;
-        Condition.broadcast s.scond;
-        Mutex.unlock s.smutex)
-      t.shards;
-    Array.iter
-      (fun s ->
-        match s.domain with
-        | Some d ->
-            Domain.join d;
-            s.domain <- None
-        | None -> ())
-      t.shards;
+    Mutex.lock t.mutex;
+    let workers = t.workers in
+    t.workers <- [];
+    Mutex.unlock t.mutex;
+    List.iter Domain.join workers;
     Mutex.lock t.mutex;
     let readers = t.readers in
     t.readers <- [];
@@ -836,7 +808,7 @@ let listen t addr =
   | Unix.ADDR_UNIX _ -> 0
 
 let spawn_reader t client =
-  let th = Thread.create (fun () -> session t client) () in
+  let th = Thread.create (fun () -> session t client ~max_line:t.cfg.max_line_bytes) () in
   Mutex.lock t.mutex;
   t.readers <- th :: t.readers;
   Mutex.unlock t.mutex
@@ -853,7 +825,8 @@ let accept_loop t fd =
         else begin
           (try Unix.setsockopt cfd Unix.TCP_NODELAY true
            with Unix.Unix_error _ -> ());
-          spawn_reader t (register_client t ~tcp:true ~close_on_exit:true cfd cfd);
+          spawn_reader t
+            (register_client t ~socket:true cfd (writer ~close_on_exit:true cfd cfd));
           loop ()
         end
   in
@@ -870,5 +843,13 @@ let serve t =
   drain t
 
 let attach t rfd wfd =
-  let client = register_client t ~tcp:false ~close_on_exit:false rfd wfd in
-  session t client
+  session t
+    (register_client t ~socket:false rfd (writer ~close_on_exit:false rfd wfd))
+    ~max_line:t.cfg.max_line_bytes
+
+let batch ?extra_want t fd emit =
+  let client =
+    register_client t ~socket:false ?extra_want fd (in_order t.cfg.tracer emit, ignore)
+  in
+  (* manifest lines have no length limit: a large spec may travel inline *)
+  session t client ~max_line:max_int

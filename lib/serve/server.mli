@@ -1,49 +1,56 @@
-(** The network simulation service: many concurrent JSONL clients, a
-    content-addressed spec store, and hash-sharded worker domains.
+(** The simulation service: many concurrent JSONL clients, a
+    content-addressed spec store, one job queue and worker domains that
+    share one compiled-spec cache.
 
     One [t] is one service instance.  Requests arrive as JSONL lines (the
-    {!Asim_batch.Proto} schema plus the [upload] control request and
-    [spec_hash] job source); each non-blank line is numbered per
-    connection and its reply carries that number as ["index"].  Job
-    replies stream back in {e completion} order — a fast job on one shard
-    is never stuck behind a slow job on another — while control replies
-    (upload, metrics, admission rejections) are immediate.
+    {!Asim_batch.Proto} schema, whose [upload] control request and
+    [spec_hash] job source this module resolves); each non-blank line is
+    numbered per session and its reply carries that number as ["index"].
+    A socket or stdio client gets job replies in {e completion} order — a
+    fast job is never stuck behind a slow one on another worker — while
+    control replies (upload, metrics, refusals) are immediate.  A batch
+    session ({!batch}) gets every reply in index order instead.
 
     {2 Admission control}
 
-    A job passes three gates before it reaches a worker:
-    - the per-client in-flight quota ([max_in_flight]) — exceeding it gets
-      a ["rejected"] reply;
-    - the routed shard's bounded queue ([queue_depth]) — a full queue gets
-      an ["overload"] reply (explicit backpressure, never silent buffering);
-    - a draining server answers ["overload"] with ["server draining"].
-    Rejections are immediate, cost no worker time, and echo the job's
-    ["id"].  Jobs that pass run under a cooperative deadline
+    A job waits in its client's reader, which stops reading meanwhile,
+    while that client has [max_in_flight] unanswered jobs or the queue
+    holds [queue_depth] jobs: the client meets TCP backpressure, not a
+    refusal.  Each such wait is counted in [asim_serve_rejected_total]
+    under reason [quota] or [queue_full].  Refusals are structured replies
+    that echo the job's ["id"]:
+    - a draining server answers ["overload"] with ["server draining"];
+    - an unknown [spec_hash] gets ["error"];
+    - so does a [spec_file] job from a socket client: only local sessions
+      ({!attach}, {!batch}) read files, so a remote client cannot make the
+      server open a path.
+    Jobs that pass run under a cooperative deadline
     ({!Asim.Machine.run_bounded}) of [timeout_s], defaulted from
     [default_timeout_s].
 
-    {2 Sharding}
+    {2 Workers}
 
-    Spec digests are routed by {!Router.shard_of_digest} across [shards]
-    worker domains, each owning a private compiled-spec cache
-    ({!Asim_batch.Cache}) — so repeat work on one spec always lands where
-    its artifacts are already warm.  Job metrics accumulate in one shared
-    {!Asim_batch.Metrics} across shards.
+    [shards] worker domains pop one FIFO queue and share one
+    {!Asim_batch.Runner}: one single-flight compiled-spec cache of
+    [cache_capacity] entries and one {!Asim_batch.Metrics}.  An idle worker
+    takes the next job whatever spec it names.
 
     {2 Shutdown}
 
     {!shutdown} is signal-handler-safe: it sets a flag and pokes a
-    self-pipe; a watcher thread then stops the listener and unblocks
-    readers.  {!drain} (called by {!serve} on exit, idempotent) runs every
-    admitted job dry, joins the shard domains and reader threads, and
-    flushes a final metrics-file snapshot. *)
+    self-pipe; a watcher thread then stops the listener and wakes readers,
+    including those waiting at admission.  {!drain} (called by {!serve} on
+    exit, idempotent) runs every admitted job dry, joins the worker domains
+    and reader threads, and flushes a final metrics-file snapshot. *)
 
 type config = {
-  shards : int;  (** worker domains, one compiled-spec cache each *)
-  queue_depth : int;  (** bounded per-shard job queue *)
-  max_in_flight : int;  (** per-client admitted-but-unanswered job quota *)
-  max_line_bytes : int;  (** longer request lines get a structured error *)
-  cache_capacity : int;  (** compiled-spec cache entries per shard *)
+  shards : int;  (** worker domains *)
+  queue_depth : int;  (** jobs the shared queue holds before admission waits *)
+  max_in_flight : int;  (** per-client admitted-but-unanswered jobs before admission waits *)
+  max_line_bytes : int;
+      (** longer request lines get a structured error ({!batch} sets no
+          limit) *)
+  cache_capacity : int;  (** entries of the one compiled-spec cache *)
   store_capacity : int;  (** content-addressed spec store entries *)
   default_timeout_s : float option;  (** deadline for jobs that name none *)
   opt : Asim.Opt.level;  (** middle-end level for jobs that name none *)
@@ -51,7 +58,7 @@ type config = {
 }
 
 val default_config : config
-(** 1 shard, queue 256, quota 64, 1 MiB lines, cache 64, store 1024, no
+(** 1 worker, queue 256, quota 64, 1 MiB lines, cache 64, store 1024, no
     default timeout, middle-end at [O2], null tracer. *)
 
 type t
@@ -71,11 +78,21 @@ val serve : t -> unit
     {!shutdown} (having called {!drain}). *)
 
 val attach : t -> Unix.file_descr -> Unix.file_descr -> unit
-(** Run one client session over an (input, output) descriptor pair in the
-    calling thread — the stdio mode of [asim serve] is exactly this over
-    (stdin, stdout).  Returns once the input hits EOF {e and} every job
+(** Run one local client session over an (input, output) descriptor pair
+    in the calling thread — the stdio mode of [asim serve] is exactly this
+    over (stdin, stdout).  Returns once the input hits EOF {e and} every job
     this client admitted has been answered; the descriptors are not
     closed.  The caller should then {!drain}. *)
+
+val batch :
+  ?extra_want:Asim_batch.Proto.want list -> t -> Unix.file_descr -> (string -> unit) -> unit
+(** [batch t fd emit] runs one local session over the manifest [fd] in the
+    calling thread — [asim batch] is exactly this — and hands each reply
+    line (no newline) to [emit] in index order, inside a [batch.emit] span.
+    Lines have no length limit.  [extra_want] is unioned into every job's
+    [want] ([asim batch --profile]).  Returns once the manifest hits EOF
+    and every reply is out; [fd] is not closed.  The caller should then
+    {!drain}. *)
 
 val shutdown : t -> unit
 (** Request shutdown: stop accepting, unblock readers, start draining.
@@ -106,9 +123,9 @@ val log_json : t -> out_channel -> unit
 (** {2 Observability} *)
 
 val prometheus : t -> string
-(** The full scrape: serve-layer families ([asim_serve_*], with per-shard
-    labels) followed by the shared job/cache families ([asim_jobs_total],
-    [asim_job_duration_seconds], [asim_cache_*] aggregated over shards). *)
+(** The full scrape: serve-layer families ([asim_serve_*]) followed by the
+    job and cache families ([asim_jobs_total], [asim_job_duration_seconds],
+    [asim_cache_*]). *)
 
 val metrics_file : t -> path:string -> interval:float -> unit
 (** Spawn a writer thread that atomically (write + rename) refreshes
@@ -116,5 +133,5 @@ val metrics_file : t -> path:string -> interval:float -> unit
     {!drain} writes one final snapshot. *)
 
 val summary : t -> Asim_batch.Metrics.summary
-(** Shared job metrics plus shard-aggregated cache counters, with wall
-    time measured from {!create}. *)
+(** Job metrics plus cache counters, with wall time measured from
+    {!create}. *)

@@ -4,8 +4,9 @@
     The key is the MD5 of the spec's canonical pretty-printed form — the
     same digest {!Asim_batch.Runner.cache_key} builds its compiled-spec
     cache key from — so any source text that parses to the same spec lands
-    on the same entry, and a submit-by-hash job is guaranteed to hit the
-    warm compiled-spec cache of whichever shard its digest routes to.
+    on the same entry, and a submit-by-hash job hits the compiled-spec
+    cache entry its upload's first run left warm, whichever worker runs
+    it.
 
     Uploads are parsed eagerly: a spec that does not parse is rejected at
     upload time with the parser's error, never at job time.  The store is

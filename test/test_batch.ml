@@ -1,5 +1,7 @@
-(* The batch subsystem: JSON codec, compiled-spec cache, worker pool,
-   and the JSONL job runner (timeouts, crash isolation, malformed input). *)
+(* The batch subsystem: JSON codec, compiled-spec cache, worker pool, the
+   job runner (timeouts, structured errors), and manifests run the way
+   [asim batch] runs them — a local session of the server, replies in job
+   order (malformed input, determinism, cache sharing, uploads). *)
 
 open Asim_batch
 
@@ -264,8 +266,7 @@ let test_runner_cached_equals_fresh () =
   ignore (Runner.run_job warm j : Proto.outcome);
   let cached = render warm j in
   Alcotest.(check string) "cache does not change results" fresh cached;
-  let s = (Runner.summary warm ~wall_s:1.0).Metrics.cache in
-  Alcotest.(check int) "warm runner hit the cache" 1 s.Cache.hits
+  Alcotest.(check int) "warm runner hit the cache" 1 (Runner.cache_stats warm).Cache.hits
 
 let test_runner_outputs () =
   let t = Runner.create () in
@@ -299,29 +300,33 @@ let test_runner_errors_are_structured () =
   Alcotest.(check bool) "parse failure is structured" true
     (Proto.status_class unparsable.Proto.status = `Error)
 
-let drive t ~jobs lines =
-  let remaining = ref lines in
-  let next () =
-    match !remaining with
-    | [] -> None
-    | l :: rest ->
-        remaining := rest;
-        Some l
+(* Run manifest [lines] on [jobs] worker domains as [asim batch] does:
+   the result lines in job order, and the cache counters after the run. *)
+let drive ~jobs lines =
+  let path = Filename.temp_file "asim-batch" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  let server =
+    Asim_serve.Server.create
+      ~config:{ Asim_serve.Server.default_config with shards = jobs } ()
   in
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
   let out = ref [] in
-  let n = Runner.process t ~jobs ~next ~emit:(fun l -> out := l :: !out) in
-  (n, List.rev !out)
+  Asim_serve.Server.batch server fd (fun l -> out := l :: !out);
+  Asim_serve.Server.drain server;
+  Unix.close fd;
+  Sys.remove path;
+  (List.rev !out, (Asim_serve.Server.summary server).Metrics.cache)
 
 let counter_job_line = {|{"spec":"# counter\n= 8\ncount* inc .\nA inc 4 count 1\nM count 0 inc 1 1\n.\n"}|}
 
 let test_process_malformed_lines () =
-  let t = Runner.create () in
-  let n, out =
-    drive t ~jobs:2
+  let out, _ =
+    drive ~jobs:2
       [ counter_job_line; "this is not json"; ""; {|{"example":"counter","frobnicate":1}|};
         counter_job_line ]
   in
-  Alcotest.(check int) "four results (blank line skipped)" 4 n;
+  Alcotest.(check int) "four results (blank line skipped)" 4 (List.length out);
   let line i = List.nth out i in
   Alcotest.(check bool) "good job before still ran" true (contains (line 0) {|"status":"ok"|});
   Alcotest.(check bool) "malformed names its line" true
@@ -335,10 +340,7 @@ let test_process_byte_identical_across_jobs () =
     List.init 12 (fun i ->
         if i mod 3 = 2 then "garbage line " ^ string_of_int i else counter_job_line)
   in
-  let run jobs =
-    let t = Runner.create () in
-    snd (drive t ~jobs lines)
-  in
+  let run jobs = fst (drive ~jobs lines) in
   let sequential = run 1 in
   Alcotest.(check (list string)) "jobs=2 byte-identical" sequential (run 2);
   Alcotest.(check (list string)) "jobs=4 byte-identical" sequential (run 4)
@@ -425,9 +427,8 @@ let test_metrics_prometheus_names () =
    spec on compiled, flat and compiled without the §4.4 optimizations is
    one entry. *)
 let test_process_cache_shared_across_engines () =
-  let t = Runner.create () in
-  let n, out =
-    drive t ~jobs:1
+  let out, s =
+    drive ~jobs:1
       [
         {|{"example":"stack-machine-sieve","engine":"compiled"}|};
         {|{"example":"stack-machine-sieve","engine":"flat"}|};
@@ -435,11 +436,10 @@ let test_process_cache_shared_across_engines () =
         {|{"example":"stack-machine-sieve","engine":"flat"}|};
       ]
   in
-  Alcotest.(check int) "all ran" 4 n;
+  Alcotest.(check int) "all ran" 4 (List.length out);
   List.iter
     (fun line -> Alcotest.(check bool) "ok" true (contains line {|"status":"ok"|}))
     out;
-  let s = (Runner.summary t ~wall_s:1.0).Metrics.cache in
   Alcotest.(check int) "one miss" 1 s.Cache.misses;
   Alcotest.(check int) "three hits" 3 s.Cache.hits;
   Alcotest.(check int) "one entry" 1 s.Cache.entries
@@ -447,9 +447,8 @@ let test_process_cache_shared_across_engines () =
 (* Engines without counters answer a profile request with a structured
    error, not a crash. *)
 let test_process_profile_unsupported () =
-  let t = Runner.create () in
-  let _, out =
-    drive t ~jobs:1
+  let out, _ =
+    drive ~jobs:1
       [
         {|{"example":"counter","engine":"native","want":["profile"]}|};
         {|{"example":"counter","engine":"par","want":["profile"]}|};
@@ -464,13 +463,40 @@ let test_process_profile_unsupported () =
 
 let test_process_cache_hit_rate () =
   (* 64 identical jobs: 1 miss, 63 hits — the >90% acceptance bar. *)
-  let t = Runner.create () in
-  let n, _ = drive t ~jobs:4 (List.init 64 (fun _ -> counter_job_line)) in
-  Alcotest.(check int) "all ran" 64 n;
-  let s = (Runner.summary t ~wall_s:1.0).Metrics.cache in
+  let out, s = drive ~jobs:4 (List.init 64 (fun _ -> counter_job_line)) in
+  Alcotest.(check int) "all ran" 64 (List.length out);
   Alcotest.(check int) "one miss" 1 s.Cache.misses;
   Alcotest.(check int) "the rest hit" 63 s.Cache.hits;
   Alcotest.(check bool) "hit rate clears 90%" true (Cache.hit_rate s > 0.9)
+
+(* A manifest can upload a spec and then run it by hash, as a serve client
+   can; a hash nobody uploaded is a structured error. *)
+let test_process_upload_then_hash () =
+  let hash =
+    Digest.to_hex (Digest.string (Asim.Pretty.spec (Asim.Parser.parse_string counter)))
+  in
+  let out, s =
+    drive ~jobs:2
+      [
+        Printf.sprintf {|{"control":"upload","spec":%s}|}
+          (Json.to_string (Json.String counter_reformatted));
+        Printf.sprintf {|{"spec_hash":"%s","id":"by-hash"}|} hash;
+        Printf.sprintf {|{"spec_hash":"%s","id":"unknown"}|} (String.make 32 'a');
+        counter_job_line;
+      ]
+  in
+  match out with
+  | [ up; by_hash; unknown; inline ] ->
+      Alcotest.(check bool) "upload answers the canonical hash" true
+        (contains up (Printf.sprintf {|"hash":"%s"|} hash));
+      Alcotest.(check bool) "hash job runs the uploaded spec" true
+        (contains by_hash {|{"index":1,"id":"by-hash","status":"ok","cycles":8,|});
+      Alcotest.(check bool) "unknown hash is an error" true
+        (contains unknown {|"status":"error"|} && contains unknown "unknown spec hash");
+      Alcotest.(check bool) "inline job ok" true (contains inline {|"status":"ok"|});
+      (* the inline job is the uploaded spec: it hits the hash job's entry *)
+      Alcotest.(check int) "one compile" 1 s.Cache.misses
+  | _ -> Alcotest.failf "expected 4 result lines, got %d" (List.length out)
 
 let () =
   Alcotest.run "batch"
@@ -511,6 +537,8 @@ let () =
             test_process_cache_shared_across_engines;
           Alcotest.test_case "profile on a counterless engine" `Quick
             test_process_profile_unsupported;
+          Alcotest.test_case "upload then run by hash" `Quick
+            test_process_upload_then_hash;
         ] );
       ( "metrics",
         [

@@ -567,7 +567,7 @@ let test_batch_trace () =
           let events = trace_events trace in
           check_spans "batch trace" events
             [
-              "batch.cache_lookup"; "batch.queue_wait"; "batch.worker_execute";
+              "batch.cache_lookup"; "serve.queue_wait"; "serve.execute";
               "batch.emit"; "pipeline.parse"; "pipeline.build"; "pipeline.simulate";
             ];
           (* cache-lookup spans carry their outcome; this manifest runs the

@@ -1,6 +1,7 @@
-(* The network simulation service: content-addressed spec store, shard
-   router, TCP frontend (upload / submit-by-hash, admission control,
-   streaming completion order), and graceful shutdown of the CLI. *)
+(* The network simulation service: content-addressed spec store, TCP
+   frontend (upload / submit-by-hash, admission that waits, streaming
+   completion order, no file access for remote clients), and graceful
+   shutdown of the CLI. *)
 
 open Asim_serve
 
@@ -65,39 +66,6 @@ let test_store_capacity () =
   | Ok u -> Alcotest.(check bool) "duplicate accepted" false u.Store.fresh
   | Error e -> Alcotest.failf "duplicate refused: %s" e
 
-(* --- shard router ----------------------------------------------------------- *)
-
-let test_router_deterministic () =
-  let digest s = Digest.to_hex (Digest.string s) in
-  for i = 0 to 199 do
-    let d = digest (string_of_int i) in
-    for shards = 1 to 7 do
-      let a = Router.shard_of_digest ~shards d in
-      let b = Router.shard_of_digest ~shards d in
-      Alcotest.(check int) "same digest, same shard" a b;
-      if a < 0 || a >= shards then Alcotest.failf "shard %d out of range" a
-    done
-  done;
-  (* a hash job and the inline canonical it resolves to route together *)
-  let spec = Asim_syntax.Parser.parse_string counter in
-  let canonical = Asim_core.Pretty.spec spec in
-  let h = digest canonical in
-  Alcotest.(check int) "hash and inline colocate"
-    (Router.shard_of_digest ~shards:5 (Router.digest_of_source (Asim_batch.Proto.Hash h)))
-    (Router.shard_of_digest ~shards:5
-       (Router.digest_of_source (Asim_batch.Proto.Inline canonical)))
-
-let test_router_spreads () =
-  (* not a uniformity proof, just: 64 random digests on 4 shards must not
-     all collapse onto one *)
-  let used = Array.make 4 false in
-  for i = 0 to 63 do
-    used.(Router.shard_of_digest ~shards:4 (Digest.to_hex (Digest.string (string_of_int i))))
-    <- true
-  done;
-  Alcotest.(check bool) "more than one shard used" true
-    (Array.to_list used |> List.filter (fun b -> b) |> List.length > 1)
-
 (* --- in-process TCP server --------------------------------------------------- *)
 
 let with_server ?(config = Server.default_config) f =
@@ -153,7 +121,7 @@ let test_upload_submit_roundtrip () =
           Alcotest.(check (option string)) "same hash" (Some hash) (str_field up2 "hash");
           Alcotest.(check bool) "not fresh" true
             (Json.member "fresh" up2 = Some (Json.Bool false));
-          (* submit by hash, twice: the second run must hit the warm shard cache *)
+          (* submit by hash, twice: the second run must hit the warm cache *)
           send fd (Printf.sprintf {|{"spec_hash":"%s"}|} hash);
           let r1 = Json.parse (next ()) in
           Alcotest.(check (option string)) "job ok" (Some "ok") (str_field r1 "status");
@@ -163,12 +131,12 @@ let test_upload_submit_roundtrip () =
           let r2 = Json.parse (next ()) in
           Alcotest.(check (option string)) "second job ok" (Some "ok")
             (str_field r2 "status");
-          (* metrics scrape shows the warm hit on the shard cache *)
+          (* metrics scrape shows the warm hit on the cache *)
           send fd {|{"control":"metrics"}|};
           let m = Json.parse (next ()) in
           let text = Option.get (str_field m "metrics") in
-          Alcotest.(check bool) "served from shard cache" true
-            (contains text "asim_serve_shard_cache_hits{shard=\"0\"} 1");
+          Alcotest.(check bool) "served from the cache" true
+            (contains text "asim_cache_hits 1");
           Alcotest.(check bool) "store gauge" true
             (contains text "asim_serve_store_specs 1")))
 
@@ -188,7 +156,11 @@ let test_cache_warm_span () =
           send fd (Printf.sprintf {|{"spec_hash":"%s"}|} hash);
           ignore (next ());
           send fd (Printf.sprintf {|{"spec_hash":"%s"}|} hash);
-          ignore (next ())));
+          ignore (next ());
+          send fd {|{"control":"metrics"}|};
+          let text = Option.get (str_field (Json.parse (next ())) "metrics") in
+          Alcotest.(check bool) "the cache counted the hit" true
+            (contains text "asim_cache_hits 1")));
   let lookups =
     List.filter
       (fun (e : Asim_obs.Tracer.event) -> e.name = "batch.cache_lookup")
@@ -228,35 +200,19 @@ let slow_job ?id () =
     {|{"example":"counter","engine":"interp","cycles":100000000,"timeout_s":0.3%s}|}
     (match id with Some i -> Printf.sprintf {|,"id":"%s"|} i | None -> "")
 
-let test_quota_exceeded () =
-  let config =
-    { Server.default_config with Server.max_in_flight = 1; queue_depth = 16 }
-  in
-  with_server ~config (fun _server port ->
-      let fd = connect port in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let next = reader fd in
-          send fd (slow_job ~id:"slow" ());
-          send fd {|{"example":"counter","id":"fast"}|};
-          (* the quota refusal is immediate, so it streams back first *)
-          let r1 = Json.parse (next ()) in
-          Alcotest.(check (option string)) "rejected" (Some "rejected")
-            (str_field r1 "status");
-          Alcotest.(check (option string)) "the second job" (Some "fast")
-            (str_field r1 "id");
-          Alcotest.(check bool) "names the quota" true
-            (contains (Option.get (str_field r1 "error")) "quota");
-          (* the admitted job still answers *)
-          let r2 = Json.parse (next ()) in
-          Alcotest.(check (option string)) "slow job replies" (Some "slow")
-            (str_field r2 "id")))
+(* The scrape's value of one series, or 0 when it is absent. *)
+let scraped text series =
+  String.split_on_char '\n' text
+  |> List.find_map (fun l ->
+         let n = String.length series in
+         if String.length l > n && String.sub l 0 n = series && l.[n] = ' ' then
+           float_of_string_opt (String.sub l (n + 1) (String.length l - n - 1))
+         else None)
+  |> Option.value ~default:0.0
 
-let test_queue_full () =
-  let config =
-    { Server.default_config with Server.shards = 1; queue_depth = 1 }
-  in
+(* Three slow jobs pipelined past a limit: every one runs, none is
+   refused, and the scrape counts the waits under [reason]. *)
+let check_admission_waits ~config ~reason =
   with_server ~config (fun _server port ->
       let fd = connect port in
       Fun.protect
@@ -267,12 +223,99 @@ let test_queue_full () =
           send fd (slow_job ~id:"b" ());
           send fd (slow_job ~id:"c" ());
           let replies = List.init 3 (fun _ -> Json.parse (next ())) in
-          let statuses = List.filter_map (fun r -> str_field r "status") replies in
-          Alcotest.(check int) "every job answered" 3 (List.length statuses);
-          Alcotest.(check bool) "backpressure surfaced" true
-            (List.mem "overload" statuses);
-          Alcotest.(check bool) "admitted work finished" true
-            (List.exists (fun s -> s = "ok" || s = "timeout") statuses)))
+          List.iter
+            (fun r ->
+              match str_field r "status" with
+              | Some ("ok" | "timeout") -> ()
+              | s ->
+                  Alcotest.failf "job %s answered %s"
+                    (Option.value (str_field r "id") ~default:"?")
+                    (Option.value s ~default:"no status"))
+            replies;
+          Alcotest.(check (list string)) "each job answered once" [ "a"; "b"; "c" ]
+            (List.sort compare (List.filter_map (fun r -> str_field r "id") replies));
+          send fd {|{"control":"metrics"}|};
+          let text = Option.get (str_field (Json.parse (next ())) "metrics") in
+          Alcotest.(check bool) "the waits are counted" true
+            (scraped text
+               (Printf.sprintf {|asim_serve_rejected_total{reason="%s"}|} reason)
+            >= 1.0)))
+
+let test_quota_waits () =
+  check_admission_waits ~reason:"quota"
+    ~config:{ Server.default_config with Server.max_in_flight = 1; queue_depth = 16 }
+
+let test_queue_full_waits () =
+  check_admission_waits ~reason:"queue_full"
+    ~config:{ Server.default_config with Server.shards = 1; queue_depth = 1 }
+
+let test_drain_wakes_waiting_reader () =
+  let config = { Server.default_config with Server.max_in_flight = 1 } in
+  let server = Server.create ~config () in
+  let port = Server.listen server (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) in
+  let th = Thread.create Server.serve server in
+  let fd = connect port in
+  let next = reader fd in
+  send fd
+    {|{"example":"counter","engine":"interp","cycles":100000000,"timeout_s":2.0,"id":"running"}|};
+  send fd {|{"example":"counter","id":"waiting"}|};
+  (* a second client watches the scrape until the second job waits *)
+  let watch = connect port in
+  let watch_next = reader watch in
+  let rec await n =
+    send watch {|{"control":"metrics"}|};
+    let text = Option.get (str_field (Json.parse (watch_next ())) "metrics") in
+    if scraped text {|asim_serve_rejected_total{reason="quota"}|} >= 1.0 then ()
+    else if n = 0 then Alcotest.fail "the second job never waited at its quota"
+    else begin
+      Unix.sleepf 0.01;
+      await (n - 1)
+    end
+  in
+  await 200;
+  Server.shutdown server;
+  Thread.join th;
+  let replies = List.init 2 (fun _ -> Json.parse (next ())) in
+  let status id =
+    List.find_map
+      (fun r -> if str_field r "id" = Some id then str_field r "status" else None)
+      replies
+  in
+  Alcotest.(check (option string)) "the waiting job is refused" (Some "overload")
+    (status "waiting");
+  Alcotest.(check bool) "the running job finishes" true
+    (List.mem (status "running") [ Some "ok"; Some "timeout" ]);
+  Unix.close fd;
+  Unix.close watch
+
+let test_spec_file_refused_over_tcp () =
+  let path = Filename.temp_file "asim-serve" ".asim" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc counter);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      with_server (fun _server port ->
+          let fd = connect port in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              let next = reader fd in
+              let ask file =
+                send fd
+                  (Printf.sprintf {|{"spec_file":%s,"cycles":1,"id":"f"}|}
+                     (Json.to_string (Json.String file)));
+                Json.parse (next ())
+              in
+              let present = ask path in
+              Alcotest.(check (option string)) "error" (Some "error")
+                (str_field present "status");
+              Alcotest.(check bool) "no outputs" true (Json.member "outputs" present = None);
+              Alcotest.(check bool) "says why" true
+                (contains (Option.get (str_field present "error")) "local session");
+              (* a missing file reads the same: nothing to probe *)
+              let missing = ask (path ^ ".missing") in
+              Alcotest.(check (option string)) "same reply for a missing file"
+                (str_field present "error") (str_field missing "error"))))
 
 let test_mid_job_disconnect () =
   let server = Server.create () in
@@ -340,28 +383,8 @@ let test_oversized_and_malformed_lines () =
             (str_field (Json.parse (next ())) "status")))
 
 let test_completion_order_streaming () =
-  (* two shards: a fast job behind a slow one on the other shard must not
-     wait for it.  Pick two specs that provably route to different shards. *)
-  let slow_spec = counter in
-  let slow_digest = Router.digest_of_source (Asim_batch.Proto.Inline slow_spec) in
-  let shards = 2 in
-  let slow_shard = Router.shard_of_digest ~shards slow_digest in
-  let fast_spec =
-    let rec hunt i =
-      if i > 50 then Alcotest.fail "no differently-routed spec found"
-      else
-        let s =
-          Printf.sprintf "# v%d\n= 8\ncount* inc .\nA inc 4 count 1\nM count 0 inc 1 1\n.\n" i
-        in
-        if
-          Router.shard_of_digest ~shards (Router.digest_of_source (Asim_batch.Proto.Inline s))
-          <> slow_shard
-        then s
-        else hunt (i + 1)
-    in
-    hunt 0
-  in
-  let config = { Server.default_config with Server.shards } in
+  (* two workers: a fast job queued behind a slow one must not wait for it *)
+  let config = { Server.default_config with Server.shards = 2 } in
   with_server ~config (fun _server port ->
       let fd = connect port in
       Fun.protect
@@ -371,10 +394,10 @@ let test_completion_order_streaming () =
           send fd
             (Printf.sprintf
                {|{"spec":%s,"engine":"interp","cycles":100000000,"timeout_s":0.5,"id":"slow"}|}
-               (Json.to_string (Json.String slow_spec)));
+               (Json.to_string (Json.String counter)));
           send fd
             (Printf.sprintf {|{"spec":%s,"id":"fast"}|}
-               (Json.to_string (Json.String fast_spec)));
+               (Json.to_string (Json.String counter)));
           let first = Json.parse (next ()) in
           Alcotest.(check (option string)) "fast job streams back first"
             (Some "fast") (str_field first "id");
@@ -450,11 +473,6 @@ let () =
           Alcotest.test_case "rejects unparsable specs" `Quick test_store_rejects_bad_spec;
           Alcotest.test_case "bounded capacity" `Quick test_store_capacity;
         ] );
-      ( "router",
-        [
-          Alcotest.test_case "deterministic placement" `Quick test_router_deterministic;
-          Alcotest.test_case "spreads across shards" `Quick test_router_spreads;
-        ] );
       ( "tcp",
         [
           Alcotest.test_case "upload / submit-by-hash round trip" `Quick
@@ -463,8 +481,12 @@ let () =
             test_cache_warm_span;
           Alcotest.test_case "unknown hash is a structured error" `Quick
             test_unknown_hash;
-          Alcotest.test_case "per-client quota" `Quick test_quota_exceeded;
-          Alcotest.test_case "queue-full backpressure" `Quick test_queue_full;
+          Alcotest.test_case "per-client quota" `Quick test_quota_waits;
+          Alcotest.test_case "queue-full backpressure" `Quick test_queue_full_waits;
+          Alcotest.test_case "drain wakes a reader waiting at its quota" `Quick
+            test_drain_wakes_waiting_reader;
+          Alcotest.test_case "spec_file is refused over TCP" `Quick
+            test_spec_file_refused_over_tcp;
           Alcotest.test_case "mid-job disconnect" `Quick test_mid_job_disconnect;
           Alcotest.test_case "oversized and malformed lines" `Quick
             test_oversized_and_malformed_lines;

@@ -427,10 +427,11 @@ let test_single_flight =
    test below really exercises a failing background compile. *)
 let crash_spec = "#crashy\n= 6\nr* n .\nA n 4 r 7\nM r 0 n 1 1\n.\n"
 
-(* [n] jobs of [spec] on [engine] through a [jobs]-wide pool, as
-   [Runner.process] runs a manifest; the result lines come back in job
-   order.  The jobs are built as values because a forced swap point is an
-   engine setting the JSON protocol does not carry. *)
+(* [n] jobs of [spec] on [engine] through a [jobs]-wide pool sharing one
+   runner, as the worker domains of [asim batch] share one; the result
+   lines come back in job order.  The jobs are built as values because a
+   forced swap point is an engine setting the JSON protocol does not
+   carry. *)
 let batch_drive ~jobs ~engine n spec =
   let t = Runner.create () in
   let job =
