@@ -255,11 +255,11 @@ let figure_levels () =
 (* Ablations the benchmark suite does not report yet                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Three measurements kept here, methods unchanged, until bench/suite
+(* Two measurements kept here, methods unchanged, until bench/suite
    reports them as per-layer metrics: the per-pass optimizer ablation on the
-   suite's two 10k-component specs, cold tiered against the better of flat
-   and native on the sieve, and the flat kernel's profiling overhead.  Each
-   part carries its witness; [ablations] is false when one fails. *)
+   suite's two 10k-component specs and the flat kernel's profiling
+   overhead.  Each part carries its witness; [ablations] is false when one
+   fails. *)
 
 let quiet = Asim.Machine.quiet_config
 
@@ -480,65 +480,6 @@ let opt_section ~jit_cache_dir =
   in
   mesh && pipeline
 
-(* 3. Cold tiered against the better of flat and native on the sieve,
-   preparation included — tiered ≈ max(flat, native) as one number, floor
-   0.95.  Every tiered rep starts with an empty artifact cache and
-   in-process memo under the default [Auto] policy, as a user hits it the
-   first time; the last rep's swap state says which side of the [Auto]
-   threshold the budget landed on. *)
-let tiered_section ~jit_cache_dir =
-  let reps = 3 and cycles = Asim_stackm.Programs.sieve_cycles in
-  let analysis = Asim.Analysis.analyze (sieve_spec ()) in
-  let flat =
-    bench_machine ~reps ~cycles (fun () -> Asim.Flat.create ~config:quiet analysis)
-  in
-  let native = native_run ~reps ~cycles ~jit_cache_dir analysis in
-  Asim.Tiered.mute_warning ();
-  let swap = ref Asim.Tiered.Pending in
-  let cold rep =
-    Asim.Jit.clear_memory_cache ();
-    let dir =
-      Filename.concat jit_cache_dir (Printf.sprintf "tiered-cold-%d" rep)
-    in
-    remove_tree dir;
-    Unix.mkdir dir 0o700;
-    let (m, status), build_s =
-      time (fun () ->
-          Asim.Tiered.create_status ~config:quiet ~cache_dir:dir
-            ~swap_at:Asim.Tiered.Auto analysis)
-    in
-    let (), wall = time (fun () -> Asim.Machine.run m ~cycles) in
-    swap := (status ()).Asim.Tiered.state;
-    (build_s, wall)
-  in
-  ignore (cold 0);
-  let tiered_build = ref infinity and tiered_wall = ref infinity in
-  for rep = 1 to reps do
-    let b, w = cold rep in
-    tiered_build := Float.min !tiered_build b;
-    tiered_wall := Float.min !tiered_wall w
-  done;
-  Printf.printf
-    "Cold tiered vs best(flat, native), stackm-sieve, %d cycles, \
-     preparation included:\n"
-    cycles;
-  Printf.printf "  %-8s %12s %12s %12s\n" "engine" "build (s)" "run (s)"
-    "total (s)";
-  let row label (b, w) =
-    Printf.printf "  %-8s %12.6f %12.4f %12.4f\n" label b w (b +. w)
-  in
-  row "flat" flat;
-  Option.iter (row "native") native;
-  row "tiered" (!tiered_build, !tiered_wall);
-  let total (b, w) = b +. w in
-  let best =
-    Float.min (total flat) (Option.fold ~none:infinity ~some:total native)
-  in
-  Printf.printf
-    "  tiered: swap=%s, incl prep vs best(flat, native): %.2fx (floor 0.95)\n"
-    (Asim.Tiered.swap_state_to_string !swap)
-    (best /. (!tiered_build +. !tiered_wall))
-
 let ablations () =
   hr "Ablations — kept here until bench/suite reports them";
   Printf.printf "(%d core(s) online)\n\n" (Domain.recommended_domain_count ());
@@ -546,7 +487,6 @@ let ablations () =
       let profiling_ok = profiling_section () in
       print_newline ();
       let opt_ok = opt_section ~jit_cache_dir in
-      tiered_section ~jit_cache_dir;
       profiling_ok && opt_ok)
 
 (* ------------------------------------------------------------------ *)

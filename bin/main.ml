@@ -61,43 +61,28 @@ let engine_arg_with default =
            kernel with activity-driven scheduling) or $(b,flat-full) (the \
            same kernel re-evaluating everything every cycle), $(b,native) \
            (spec compiled to an OCaml module by the host toolchain and \
-           Dynlinked in; needs ocamlfind/ocamlopt on PATH), $(b,tiered) \
-           (starts on $(b,flat), compiles in a background domain and \
-           hot-swaps to $(b,native) at a cycle boundary; runs entirely on \
-           $(b,flat) when no toolchain answers) or $(b,par) (the flat \
-           kernel partitioned across domains and run bulk-synchronously; \
-           see $(b,--domains)).")
+           Dynlinked in; needs ocamlfind/ocamlopt on PATH) or $(b,par) (the \
+           flat kernel partitioned across domains and run \
+           bulk-synchronously; see $(b,--domains)).")
 
 let engine_arg = engine_arg_with `Compiled
 
-(* The two engine settings scripts and CI pass through the environment:
-   ASIM_PAR_DOMAINS (the partitioned engine's domain count) and
-   ASIM_TIERED_SWAP_AT (the tiered engine's swap point).  Read here, and
-   only for the engine that uses them; an empty value counts as unset and
+(* The one engine setting scripts and CI pass through the environment:
+   ASIM_PAR_DOMAINS (the partitioned engine's domain count).  Read here,
+   and only for the engine that uses it; an empty value counts as unset and
    a malformed one exits 2. *)
 let env_settings (engine : Asim.engine) : Asim.engine =
-  let read var parse ~expected ~default =
-    match Option.map String.trim (Sys.getenv_opt var) with
-    | None | Some "" -> default
-    | Some s -> (
-        match parse s with
-        | Some v -> v
-        | None ->
-            Printf.eprintf "asim: %s must be %s, got %S\n" var expected s;
-            exit 2)
-  in
   match engine with
-  | `Par p ->
-      let positive s = Option.bind (int_of_string_opt s) (fun n -> if n >= 1 then Some n else None) in
-      `Par
-        { p with
-          Asim.domains =
-            read "ASIM_PAR_DOMAINS" positive ~expected:"a positive integer"
-              ~default:p.Asim.domains }
-  | `Tiered policy ->
-      `Tiered
-        (read "ASIM_TIERED_SWAP_AT" Asim.Tiered.policy_of_string
-           ~expected:"a cycle number, \"auto\" or \"never\"" ~default:policy)
+  | `Par p -> (
+      match Option.map String.trim (Sys.getenv_opt "ASIM_PAR_DOMAINS") with
+      | None | Some "" -> engine
+      | Some s -> (
+          match int_of_string_opt s with
+          | Some domains when domains >= 1 -> `Par { p with Asim.domains }
+          | _ ->
+              Printf.eprintf
+                "asim: ASIM_PAR_DOMAINS must be a positive integer, got %S\n" s;
+              exit 2))
   | e -> e
 
 let opt_level_conv =
@@ -283,8 +268,8 @@ let run_cmd =
       timed "pipeline.analyze" (fun () -> Asim.Analysis.analyze spec)
     in
     print_warnings analysis;
-    (* One middle-end run covers every engine below, including the tiered
-       engine's direct [create_status] path; fault targets stay live. *)
+    (* One middle-end run covers every engine below; fault targets stay
+       live. *)
     let analysis, optimize_s =
       match level with
       | Asim.Opt.O0 -> (analysis, 0.0)
@@ -305,21 +290,13 @@ let run_cmd =
       | `Par p, Some path -> `Par { p with Asim.costs = par_costs_of_file path }
       | e, _ -> e
     in
-    let (machine, tiered_status), build_s =
-      (* The tiered engine is built through [create_status] so --stats-json
-         can record how the swap resolved (swapped/pending/unavailable/...). *)
+    let machine, build_s =
       timed "pipeline.build" (fun () ->
-          match (engine, prof) with
-          | `Tiered swap_at, _ ->
-              let m, status =
-                Asim.Tiered.create_status ~config ~tracer ~swap_at ?prof analysis
-              in
-              (m, Some status)
-          | engine, None -> (Asim.machine ~config ~tracer ~engine analysis, None)
-          | engine, Some prof ->
-              ( Asim.profiled ~config ~tracer ~engine:(Asim.counting engine) prof
-                  analysis,
-                None ))
+          match prof with
+          | None -> Asim.machine ~config ~tracer ~engine analysis
+          | Some prof ->
+              Asim.profiled ~config ~tracer ~engine:(Asim.counting engine) prof
+                analysis)
     in
     let cycles =
       match cycles with Some n -> n | None -> Asim.Machine.spec_cycles machine ~default:0
@@ -428,24 +405,6 @@ let run_cmd =
                   ])
           | _ -> json
         in
-        let json =
-          match (json, tiered_status) with
-          | Obj fields, Some status ->
-              let s = status () in
-              Obj
-                (fields
-                @ [
-                    ( "swap",
-                      String (Asim.Tiered.swap_state_to_string s.Asim.Tiered.state)
-                    );
-                    ( "swap_cycle",
-                      match s.Asim.Tiered.state with
-                      | Asim.Tiered.Swapped c -> Int c
-                      | _ -> Null );
-                    ("executing_engine", String s.Asim.Tiered.engine);
-                  ])
-          | _ -> json
-        in
         write_text_file out (to_string json ^ "\n"));
     write_trace trace_out tracer
   in
@@ -492,8 +451,7 @@ let run_cmd =
             "Attach per-component performance counters to the simulated \
              machine and print the profile report after the run (also \
              embedded in $(b,--stats-json) output).  Unsupported on the \
-             $(b,native) and $(b,par) engines; pins $(b,tiered) to the flat \
-             kernel.")
+             $(b,native) and $(b,par) engines.")
   in
   let domains_arg =
     Arg.(
@@ -1071,9 +1029,8 @@ let fuzz_cmd =
             "Comma-separated engines to compare (first is the reference): \
              any $(b,-e) engine of $(b,asim run), plus $(b,lowered) (the \
              codegen lowering evaluated directly) and $(b,buggy) (a \
-             deliberately faulty compiler).  $(b,native) is dropped with a warning when no \
-             OCaml toolchain answers on PATH ($(b,tiered) stays: it \
-             degrades to flat-only with identical observables).")
+             deliberately faulty compiler).  $(b,native) is dropped with a \
+             warning when no OCaml toolchain answers on PATH.")
   in
   let artifacts_arg =
     Arg.(

@@ -22,7 +22,6 @@ module Interp = Asim_interp.Interp
 module Compile = Asim_compile.Compile
 module Flat = Asim_flat.Flat
 module Jit = Asim_jit.Jit
-module Tiered = Asim_tiered.Tiered
 module Par = Asim_par.Par
 module Prof = Asim_prof.Prof
 module Opt = Asim_opt.Opt
@@ -30,8 +29,7 @@ module Specs = Specs
 
 type par = { domains : int; costs : (string * float) list }
 
-type counting =
-  [ `Interp | `Compiled | `Unoptimized | `Flat | `FlatFull | `Tiered of Tiered.policy ]
+type counting = [ `Interp | `Compiled | `Unoptimized | `Flat | `FlatFull ]
 
 type engine = [ counting | `Native | `Par of par ]
 
@@ -43,7 +41,6 @@ let engine_of_string s : engine option =
   | "flat" | "flat-kernel" | "flatkernel" -> Some `Flat
   | "flat-full" | "flat_full" | "flatfull" -> Some `FlatFull
   | "native" | "jit" -> Some `Native
-  | "tiered" | "tier" -> Some (`Tiered Tiered.Auto)
   | "par" | "bsp" | "partitioned" ->
       Some (`Par { domains = Par.default_domains (); costs = [] })
   | _ -> None
@@ -55,7 +52,6 @@ let engine_to_string = function
   | `Flat -> "flat"
   | `FlatFull -> "flat-full"
   | `Native -> "native"
-  | `Tiered _ -> "tiered"
   | `Par _ -> "par"
 
 let load_string source = Analysis.analyze (Parser.parse_string source)
@@ -69,7 +65,6 @@ let build_counting ?config ?tracer ?prof (engine : [< counting ]) analysis =
   | `Unoptimized -> Compile.create ?config ~optimize:false ?prof analysis
   | `Flat -> Flat.create ?config ~schedule:Flat.Activity ?tracer ?prof analysis
   | `FlatFull -> Flat.create ?config ~schedule:Flat.Full ?tracer ?prof analysis
-  | `Tiered swap_at -> Tiered.create ?config ?tracer ~swap_at ?prof analysis
 
 let machine ?config ?tracer ?(engine = `Compiled) analysis =
   match engine with
@@ -85,7 +80,7 @@ let counting = function
   | `Native ->
       Error.failf Error.Runtime
         "the native engine does not support profiling (the generated plugin \
-         carries no counters); use flat, tiered, compiled or interp"
+         carries no counters); use flat, compiled or interp"
   | `Par _ ->
       Error.failf Error.Runtime
         "the partitioned engine does not support profiling (per-eval counters \

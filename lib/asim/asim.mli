@@ -26,7 +26,6 @@ module Interp = Asim_interp.Interp
 module Compile = Asim_compile.Compile
 module Flat = Asim_flat.Flat
 module Jit = Asim_jit.Jit
-module Tiered = Asim_tiered.Tiered
 module Par = Asim_par.Par
 module Prof = Asim_prof.Prof
 module Opt = Asim_opt.Opt
@@ -43,21 +42,17 @@ module Specs : module type of Specs
     with activity-driven scheduling ({!Flat}) and [`FlatFull] the same
     kernel re-evaluating everything every cycle; [`Native] is the
     Dynlink-JIT over the codegen backend ({!Jit} — needs an OCaml toolchain
-    on PATH); [`Tiered policy] starts on the flat kernel and hot-swaps to
-    the native engine at the cycle boundary [policy] picks ({!Tiered} —
-    degrades to flat-only without a toolchain); [`Par] is the flat kernel
-    partitioned across [domains] domains and run bulk-synchronously
-    ({!Par}), its partitioner balancing [costs] (a measured per-component
-    cost model; [[]] means static flat-program word counts). *)
+    on PATH); [`Par] is the flat kernel partitioned across [domains]
+    domains and run bulk-synchronously ({!Par}), its partitioner balancing
+    [costs] (a measured per-component cost model; [[]] means static
+    flat-program word counts). *)
 
 type par = { domains : int; costs : (string * float) list }
 
-type counting =
-  [ `Interp | `Compiled | `Unoptimized | `Flat | `FlatFull | `Tiered of Tiered.policy ]
+type counting = [ `Interp | `Compiled | `Unoptimized | `Flat | `FlatFull ]
 (** The engines whose machines can carry a {!Prof} profile.  [`Native]'s
     generated plugin has no counters and [`Par]'s would race across
-    domains; a profiled [`Tiered] run is pinned to the instrumented flat
-    kernel. *)
+    domains. *)
 
 type engine = [ counting | `Native | `Par of par ]
 
@@ -65,14 +60,13 @@ val engine_of_string : string -> engine option
 (** ["interp"]/["interpreter"]/["asim"], ["compiled"]/["compile"]/["asim2"]/
     ["asimii"], ["unoptimized"]/["unopt"], ["flat"]/["flat-kernel"]/
     ["flatkernel"], ["flat-full"]/["flat_full"]/["flatfull"],
-    ["native"]/["jit"], ["tiered"]/["tier"] and ["par"]/["bsp"]/
-    ["partitioned"] (case-insensitive).  Settings take their built-in
-    defaults: [Tiered.Auto], and {!Par.default_domains} with no cost
-    model. *)
+    ["native"]/["jit"] and ["par"]/["bsp"]/["partitioned"]
+    (case-insensitive).  Settings take their built-in defaults:
+    {!Par.default_domains} with no cost model. *)
 
 val engine_to_string : [< engine ] -> string
 (** The short [-e] spelling: ["interp"], ["compiled"], ["unoptimized"],
-    ["flat"], ["flat-full"], ["native"], ["tiered"] or ["par"]. *)
+    ["flat"], ["flat-full"], ["native"] or ["par"]. *)
 
 val load_string : string -> Analysis.t
 (** Parse and analyze a specification source.  Raises {!Error.Error}. *)
@@ -88,7 +82,7 @@ val machine :
 (** Instantiate a runnable machine on [engine] (default [`Compiled]);
     [config] defaults to {!Machine.default_config}.  Every engine runs the
     analysis it is given: a caller that wants the {!Opt} middle-end runs it
-    first.  [tracer] receives the engines' build and swap spans. *)
+    first.  [tracer] receives the engines' build spans. *)
 
 val profiled :
   ?config:Machine.config ->

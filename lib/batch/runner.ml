@@ -28,11 +28,20 @@ let cache_key ~opt ~keep_all spec =
 let resolve_source = function
   | Proto.Inline s -> s
   | Proto.Hash h -> failwith (Printf.sprintf "unknown spec hash %s" h)
-  | Proto.File path ->
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+  | Proto.File path -> (
+      (* Opened without blocking and read only if regular: a FIFO or a
+         device would otherwise hold a worker until a writer appears. *)
+      match Unix.openfile path [ Unix.O_RDONLY; Unix.O_NONBLOCK; Unix.O_CLOEXEC ] 0 with
+      | exception Unix.Unix_error (e, _, _) ->
+          raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+      | fd ->
+          let ic = Unix.in_channel_of_descr fd in
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () ->
+              match (Unix.fstat fd).Unix.st_kind with
+              | Unix.S_REG -> really_input_string ic (in_channel_length ic)
+              | _ -> failwith (Printf.sprintf "spec_file %s is not a regular file" path)))
   | Proto.Example name -> (
       match List.assoc_opt name Asim.Specs.all with
       | Some source -> source
@@ -119,7 +128,7 @@ let memory_images (analysis : Asim.Analysis.t) (m : Asim.Machine.t) =
 let run_job t (job : Proto.job) =
   (* Client identity rides on a derived tracer, so every span the job emits
      — pipeline stages, batch internals, codegen, engine internals like
-     tiered.swap — carries [id]/[trace_id] and one Perfetto filter
+     codegen.native.compile — carries [id]/[trace_id] and one Perfetto filter
      isolates the job end to end. *)
   let ident =
     (match job.Proto.id with Some id -> [ ("id", id) ] | None -> [])

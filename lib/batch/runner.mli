@@ -47,6 +47,7 @@ val run_job : t -> Proto.job -> Proto.outcome
     errors and deadline expiry all come back as structured statuses.
     Timeouts are cooperative — the deadline is polled between simulation
     cycles, so it cannot interrupt spec parsing or compilation.  A
-    [spec_file] source is read here; a [spec_hash] source must already be
-    resolved to its text (the server does it at admission), or the job
-    fails. *)
+    [spec_file] source is read here, and only if it names a regular file (a
+    FIFO or device is an error, never a wait); a [spec_hash] source must
+    already be resolved to its text (the server does it at admission), or
+    the job fails. *)

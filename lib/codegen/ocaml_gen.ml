@@ -29,7 +29,7 @@ let emit_prelude em =
   Emitter.blank em;
   l "let sinput address =";
   l "  match address with";
-  l "  | 0 -> (try Char.code (input_char stdin) with End_of_file -> 0)";
+  l "  | 0 -> (try Scanf.scanf \"%c\" Char.code with End_of_file -> 0)";
   l "  | 1 -> (try Scanf.scanf \" %d\" (fun d -> d) with Scanf.Scan_failure _ | End_of_file -> 0)";
   l "  | _ ->";
   l "      Printf.printf \"Input from address %d: \" address;";

@@ -417,9 +417,7 @@ let make_exec (p : program) ~(vals : int array) ~(cycle : int ref) =
 
 (* --- the machine -------------------------------------------------------- *)
 
-type state = { s_vals : int array; s_cells : int array }
-
-let create_full ?(config = Machine.default_config) ?(schedule = Activity)
+let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
     ?(tracer = Asim_obs.Tracer.null) ?prof
     (analysis : Asim_analysis.Analysis.t) =
   let module Prof = Asim_prof.Prof in
@@ -847,22 +845,7 @@ let create_full ?(config = Machine.default_config) ?(schedule = Activity)
         List.init ncomb (fun i ->
             (names.(comb_id.(i)), pr.Asim_prof.Prof.evals.(comb_id.(i))))
   in
-  (machine, counts, { s_vals = vals; s_cells = cells })
-
-let create_debug ?config ?schedule ?tracer ?prof analysis =
-  let machine, counts, _ =
-    create_full ?config ?schedule ?tracer ?prof analysis
-  in
   (machine, counts)
 
-let create_exposed ?config ?schedule ?tracer ?prof analysis =
-  let machine, _, state =
-    create_full ?config ?schedule ?tracer ?prof analysis
-  in
-  (machine, state)
-
 let create ?config ?schedule ?tracer ?prof analysis =
-  let machine, _, _ =
-    create_full ?config ?schedule ?tracer ?prof analysis
-  in
-  machine
+  fst (create_debug ?config ?schedule ?tracer ?prof analysis)

@@ -81,29 +81,6 @@ val create_debug :
     every count equals the cycle count.  For tests and the benchmark
     suite's [flat.skip_rate] metric. *)
 
-(** The engine's mutable core, exposed for the tiered engine's hot-swap:
-    [s_vals] holds one slot per component in specification order (the same
-    layout {!Asim_jit.Jit} generates against), [s_cells] every memory's
-    cells concatenated in [Analysis.memories] declaration order.  A machine
-    built over these arrays by another engine observes — and continues —
-    the exact simulation state. *)
-type state = { s_vals : int array; s_cells : int array }
-
-val create_exposed :
-  ?config:Asim_sim.Machine.config ->
-  ?schedule:schedule ->
-  ?tracer:Asim_obs.Tracer.t ->
-  ?prof:Asim_prof.Prof.t ->
-  Asim_analysis.Analysis.t ->
-  Asim_sim.Machine.t * state
-(** Like {!create}, but also hands back the machine's live state arrays.
-    At a cycle boundary the arrays (plus [Machine.stats] and the cycle
-    count) are the machine's entire future-determining state: the
-    combinational slots are recomputed from scratch at the top of every
-    cycle, and the latched address/op temporaries never cross a boundary —
-    which is what makes the tiered engine's pointer-exchange handoff
-    sound. *)
-
 (** {1 Compiled-program internals}
 
     Exposed for the partitioned BSP engine ([Asim_par]), which compiles its

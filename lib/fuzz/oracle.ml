@@ -10,20 +10,15 @@ let engine_of_string s : engine option =
   | s -> (Asim.engine_of_string s :> engine option)
 
 (* By name, so every engine takes the same default settings as on the
-   command line.  [tiered] sits after [native] so a toolchain-equipped
-   campaign's native observation has already populated the in-process
-   plugin memo: the tiered machine then swaps at cycle 0 without spawning a
-   compile domain. *)
+   command line. *)
 let all =
   List.map
     (fun name -> Option.get (engine_of_string name))
     [ "interp"; "compiled"; "unoptimized"; "lowered"; "flat"; "flat-full"; "par";
-      "native"; "tiered" ]
+      "native" ]
 
 (* [`Native] shells out to the host toolchain; a campaign on a box without
-   one should drop the engine (with a warning) rather than abort.
-   [`Tiered] is always available: without a toolchain it degrades to
-   flat-only with the same observables. *)
+   one should drop the engine (with a warning) rather than abort. *)
 let available : engine -> bool = function
   | `Native -> Asim.Jit.available ()
   | _ -> true
@@ -33,7 +28,7 @@ let available : engine -> bool = function
    a middle-end miscompile shows up as a divergence instead of agreeing with
    itself on both sides. *)
 let optimized_class : engine -> bool = function
-  | `Flat | `FlatFull | `Par _ | `Native | `Tiered _ -> true
+  | `Flat | `FlatFull | `Par _ | `Native -> true
   | `Interp | `Compiled | `Unoptimized | `Lowered | `Buggy -> false
 
 let engine_to_string : engine -> string = function
@@ -59,11 +54,7 @@ let build (engine : engine) ~config (analysis : Asim_analysis.Analysis.t) =
       Asim_compile.Compile.create ~config
         (Asim_analysis.Analysis.analyze
            (inject_bug analysis.Asim_analysis.Analysis.spec))
-  | #Asim.engine as engine ->
-      (* A campaign reports a missing toolchain itself, where it drops
-         native; tiered's own line would repeat it once per process. *)
-      Asim.Tiered.mute_warning ();
-      Asim.machine ~config ~engine analysis
+  | #Asim.engine as engine -> Asim.machine ~config ~engine analysis
 
 type observation = {
   snapshots : (string * int) list array;

@@ -14,10 +14,9 @@ type engine = [ Asim.engine | `Lowered | `Buggy ]
     for exercising the oracle and shrinker end to end. *)
 
 val all : engine list
-(** The nine honest engines: [`Interp] (the reference), [`Compiled],
+(** The eight honest engines: [`Interp] (the reference), [`Compiled],
     [`Unoptimized], [`Lowered], [`Flat], [`FlatFull], [`Par] (at
-    {!Asim.Par.default_domains}), [`Native] and [`Tiered] (policy
-    [Auto]). *)
+    {!Asim.Par.default_domains}) and [`Native]. *)
 
 val available : engine -> bool
 (** Whether the engine can run here at all.  Only [`Native] can be
@@ -34,7 +33,7 @@ val build :
   engine -> config:Asim_sim.Machine.config -> Asim_analysis.Analysis.t ->
   Asim_sim.Machine.t
 (** [`Lowered] and [`Buggy] here; every other engine through
-    {!Asim.machine}, with tiered's no-toolchain warning muted. *)
+    {!Asim.machine}. *)
 
 val inject_bug : Asim_core.Spec.t -> Asim_core.Spec.t
 (** The [`Buggy] engine's corruption, exposed for tests: constant ALU
@@ -62,7 +61,7 @@ val observe :
 (** Run [spec] on one engine for [cycles] (default: the spec's [= N]
     directive, else 20), recording all observables.  A runtime error stops
     the run and is recorded, not raised.  With [opt] above [O0] the
-    optimized-class engines (flat, flat-full, par, native, tiered) consume
+    optimized-class engines (flat, flat-full, par, native) consume
     the [Asim_opt.Opt.run] rewrite while the reference class (interp,
     compiled, unoptimized, lowered, buggy) stays on the raw spec — a
     middle-end miscompile therefore surfaces as a divergence.  Components

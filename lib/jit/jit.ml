@@ -396,8 +396,8 @@ let generate_source (analysis : Analysis.t) =
     (fun f -> linef "  let %s = ctx.Asim_jit_runtime.%s in" f f)
     ctx_fields;
   if chunked then begin
-    (* Every chunk starts active, so a fresh or adopted state is evaluated
-       in full on the first cycle.  A chunk holding a fault target is pinned
+    (* Every chunk starts active, so the initial state is evaluated in
+       full on the first cycle.  A chunk holding a fault target is pinned
        active: a cycle-windowed fault keeps firing over quiet logic. *)
     linef "  let active = Bytes.make %d '\\001' in" nchunks;
     linef "  let pinned = Bytes.make %d '\\000' in" nchunks;
@@ -702,19 +702,10 @@ let obtain_factory ~tracer ~cache_dir (analysis : Analysis.t) =
           publish None;
           Printexc.raise_with_backtrace e bt)
 
-let prepared (analysis : Analysis.t) =
-  let md5 = spec_md5 analysis in
-  Mutex.protect memo_lock (fun () ->
-      match Hashtbl.find_opt memo md5 with Some (Ready _) -> true | _ -> false)
-
-let prepare ?(tracer = Tracer.null) ?cache_dir (analysis : Analysis.t) =
-  let cache_dir = match cache_dir with Some d -> d | None -> default_cache_dir () in
-  ignore (obtain_factory ~tracer ~cache_dir analysis : Runtime.ctx -> unit -> unit)
-
 (* --- the engine --------------------------------------------------------------- *)
 
 let create ?(config = Machine.default_config) ?(tracer = Tracer.null) ?cache_dir
-    ?state ?stats ?start_cycle (analysis : Analysis.t) =
+    (analysis : Analysis.t) =
   let cache_dir = match cache_dir with Some d -> d | None -> default_cache_dir () in
   let spec = analysis.Analysis.spec in
   let components = spec.Spec.components in
@@ -726,57 +717,23 @@ let create ?(config = Machine.default_config) ?(tracer = Tracer.null) ?cache_dir
   in
   let mems, cells_len = layout_memories analysis ids in
   let nmem = Array.length mems in
-  let vals, cells =
-    match state with
-    | Some (vals, cells) ->
-        (* Adopt another engine's live arrays (the tiered hot-swap): same
-           layout by construction — slot per component in spec order, cells
-           concatenated in memory declaration order — so only the shape is
-           checked, and the cell images are already live (no init blit). *)
-        if
-          Array.length vals <> max 1 ncomp
-          || Array.length cells <> max 1 cells_len
-        then
-          Error.failf Error.Runtime
-            "native engine: adopted state shape mismatch (%d/%d slots, %d/%d \
-             cells)"
-            (Array.length vals) (max 1 ncomp) (Array.length cells)
-            (max 1 cells_len);
-        (vals, cells)
-    | None ->
-        let vals = Array.make (max 1 ncomp) 0 in
-        let cells = Array.make (max 1 cells_len) 0 in
-        Array.iter
-          (fun g ->
-            match g.g_init with
-            | Some init -> Array.blit init 0 cells g.g_off (Array.length init)
-            | None -> ())
-          mems;
-        (vals, cells)
-  in
+  let vals = Array.make (max 1 ncomp) 0 in
+  let cells = Array.make (max 1 cells_len) 0 in
+  Array.iter
+    (fun g ->
+      match g.g_init with
+      | Some init -> Array.blit init 0 cells g.g_off (Array.length init)
+      | None -> ())
+    mems;
   let stats =
-    match stats with
-    | Some s -> s
-    | None ->
-        Stats.create
-          ~memories:(Array.to_list (Array.map (fun g -> g.g_name) mems))
+    Stats.create ~memories:(Array.to_list (Array.map (fun g -> g.g_name) mems))
   in
   let mcount = Array.map (fun g -> Stats.memory stats g.g_name) mems in
   let reads = Array.make (max 1 nmem) 0
   and writes = Array.make (max 1 nmem) 0
   and inputs = Array.make (max 1 nmem) 0
   and outputs = Array.make (max 1 nmem) 0 in
-  (* The per-cycle flush below writes these counters into [stats]
-     absolutely, so an adopted Stats.t seeds them with its current totals
-     instead of silently rewinding history at the handoff. *)
-  Array.iteri
-    (fun k c ->
-      reads.(k) <- c.Stats.reads;
-      writes.(k) <- c.Stats.writes;
-      inputs.(k) <- c.Stats.inputs;
-      outputs.(k) <- c.Stats.outputs)
-    mcount;
-  let cycle = ref (Option.value start_cycle ~default:0) in
+  let cycle = ref 0 in
   let io = config.Machine.io in
   let trace = config.Machine.trace in
   let faults = config.Machine.faults in

@@ -45,32 +45,10 @@ val clear_memory_cache : unit -> unit
 (** Drop the in-process factory memo (test hook: forces the next {!create} to
     go back to the disk cache and Dynlink again). *)
 
-val prepare :
-  ?tracer:Asim_obs.Tracer.t ->
-  ?cache_dir:string ->
-  Asim_analysis.Analysis.t ->
-  unit
-(** Compile (or fetch from the artifact cache) and Dynlink the plugin for
-    this spec into the in-process factory memo without building a machine,
-    so a later {!create} is instant.  This is the tiered engine's background
-    half: safe to call from another domain.  Single flight is per spec:
-    concurrent requests for one spec share one build, builds of different
-    specs proceed side by side, Dynlink itself is serialized, and the
-    on-disk lock file keeps the single-flight guarantee across processes.
-    Raises exactly like {!create}. *)
-
-val prepared : Asim_analysis.Analysis.t -> bool
-(** Whether the in-process factory memo already holds this spec — i.e. a
-    {!create} would succeed without touching the toolchain or the disk.
-    Never waits for a build in flight. *)
-
 val create :
   ?config:Asim_sim.Machine.config ->
   ?tracer:Asim_obs.Tracer.t ->
   ?cache_dir:string ->
-  ?state:int array * int array ->
-  ?stats:Asim_sim.Stats.t ->
-  ?start_cycle:int ->
   Asim_analysis.Analysis.t ->
   Asim_sim.Machine.t
 (** Build (or reuse) the compiled plugin for this spec and wire it into a
@@ -79,16 +57,10 @@ val create :
     Raises [Asim_core.Error.Error] with phase [Runtime] when no toolchain is
     available or the out-of-process compile fails.
 
-    The three adoption parameters exist for the tiered engine's mid-run
-    hot-swap; they default to a fresh machine.  [state] is a live
-    [(vals, cells)] pair in the flat layout (slot per component in spec
-    order; cells concatenated in memory declaration order — the same layout
-    {!Asim_flat.Flat.create_exposed} exposes): the machine runs directly
-    over the given arrays, skips the init-image blit, and raises when the
-    shapes disagree.  [stats] continues an existing counter set instead of
-    starting at zero.  [start_cycle] (default 0) numbers the first executed
-    cycle — trace lines, fault windows and runtime-error messages all key
-    off it. *)
+    Single flight is per spec: concurrent requests for one spec (from any
+    domain) share one build, builds of different specs proceed side by
+    side, Dynlink itself is serialized, and the on-disk lock file keeps the
+    guarantee across processes. *)
 
 val of_spec :
   ?config:Asim_sim.Machine.config ->

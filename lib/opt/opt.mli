@@ -1,7 +1,7 @@
 (** The optimizing middle-end over the codegen IR.
 
     [run] rewrites an analyzed spec into an observably equivalent one that
-    every backend (interp, closure-compiled, flat, native, tiered, par, and
+    every backend (interp, closure-compiled, flat, native, par, and
     the source generators) consumes unchanged: traces, I/O events, memory
     cells, statistics, fault behaviour and runtime errors are preserved
     byte-for-byte; only the values of components proved unobservable (see

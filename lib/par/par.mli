@@ -48,7 +48,7 @@ val skew_env : string
     with any cross-partition imports silently drops its whole import phase
     and runs on stale inputs — the bug the barrier + mailbox discipline
     exists to prevent.  The differential oracle must catch it (a must-fail
-    check, like the tiered engine's swap skew).  A no-op with one partition
+    check, like the optimizer's [ASIM_OPT_SKEW]).  A no-op with one partition
     or no cross-partition edges. *)
 
 (** A partitioning decision, exposed for tests and diagnostics. *)

@@ -132,6 +132,10 @@ let job_line ~cid ~j ~hash ~cycles ~engine =
   in
   Json.to_string (Json.Obj fields)
 
+(* The server's default per-client quota: a connection keeps this many
+   jobs in flight, which is all the server admits from it at once. *)
+let window = Server.default_config.Server.max_in_flight
+
 let drive (cfg : config) ~cid tally =
   match connect ~host:cfg.host ~port:cfg.port with
   | exception _ ->
@@ -173,45 +177,56 @@ let drive (cfg : config) ~cid tally =
               let sent_at = Array.make (jobs + 1) 0.0 in
               let answered = Array.make (jobs + 1) 0 in
               answered.(0) <- 1 (* the upload reply *);
-              for j = 1 to jobs do
-                sent_at.(j) <- Asim_obs.Clock.now ();
-                write_all fd
-                  (job_line ~cid ~j ~hash ~cycles:cfg.cycles ~engine:cfg.engine
-                  ^ "\n");
-                tally.t_sent <- tally.t_sent + 1
-              done;
-              let remaining = ref jobs in
-              let rec collect () =
-                if !remaining > 0 then
-                  match next () with
-                  | None -> ()
-                  | Some line ->
-                      (match Json.parse line with
-                      | exception Json.Parse_error _ -> ()
-                      | json -> (
-                          match Json.member "index" json with
-                          | Some (Json.Int i) when i >= 1 && i <= jobs ->
-                              answered.(i) <- answered.(i) + 1;
-                              if answered.(i) > 1 then
-                                tally.t_duplicates <- tally.t_duplicates + 1
-                              else begin
-                                decr remaining;
-                                tally.t_latencies <-
-                                  (Asim_obs.Clock.now () -. sent_at.(i))
-                                  :: tally.t_latencies;
-                                match Json.member "status" json with
-                                | Some (Json.String "ok") ->
-                                    tally.t_ok <- tally.t_ok + 1
-                                | Some (Json.String "timeout") ->
-                                    tally.t_timeouts <- tally.t_timeouts + 1
-                                | Some (Json.String "overload") ->
-                                    tally.t_overloaded <- tally.t_overloaded + 1
-                                | _ -> tally.t_errors <- tally.t_errors + 1
-                              end
-                          | _ -> ()));
-                      collect ()
+              let remaining = ref 0 (* sent and not yet answered *) in
+              (* Read one reply; false once the connection has closed. *)
+              let collect_one () =
+                match next () with
+                | None -> false
+                | Some line ->
+                    (match Json.parse line with
+                    | exception Json.Parse_error _ -> ()
+                    | json -> (
+                        match Json.member "index" json with
+                        | Some (Json.Int i) when i >= 1 && i <= jobs ->
+                            answered.(i) <- answered.(i) + 1;
+                            if answered.(i) > 1 then
+                              tally.t_duplicates <- tally.t_duplicates + 1
+                            else begin
+                              decr remaining;
+                              tally.t_latencies <-
+                                (Asim_obs.Clock.now () -. sent_at.(i))
+                                :: tally.t_latencies;
+                              match Json.member "status" json with
+                              | Some (Json.String "ok") ->
+                                  tally.t_ok <- tally.t_ok + 1
+                              | Some (Json.String "timeout") ->
+                                  tally.t_timeouts <- tally.t_timeouts + 1
+                              | Some (Json.String "overload") ->
+                                  tally.t_overloaded <- tally.t_overloaded + 1
+                              | _ -> tally.t_errors <- tally.t_errors + 1
+                            end
+                        | _ -> ()));
+                    true
               in
-              collect ();
+              (* At most [window] jobs go unanswered: a job beyond it waits
+                 for a reply, so the replies never pile up in the socket
+                 while both sides block on writes. *)
+              let rec send j =
+                if j <= jobs then
+                  if !remaining >= window then (if collect_one () then send j)
+                  else begin
+                    sent_at.(j) <- Asim_obs.Clock.now ();
+                    write_all fd
+                      (job_line ~cid ~j ~hash ~cycles:cfg.cycles ~engine:cfg.engine
+                      ^ "\n");
+                    tally.t_sent <- tally.t_sent + 1;
+                    incr remaining;
+                    send (j + 1)
+                  end
+              in
+              send 1;
+              let rec drain () = if !remaining > 0 && collect_one () then drain () in
+              drain ();
               for j = 1 to jobs do
                 if answered.(j) = 0 then tally.t_dropped <- tally.t_dropped + 1
               done)

@@ -1,7 +1,9 @@
 (** The load generator behind [asim loadgen]: open many concurrent TCP
     connections, upload one spec per connection (exercising the
-    content-addressed store's dedup), pipeline submit-by-hash jobs, and
-    measure end-to-end latency from submission to reply.
+    content-addressed store's dedup), pipeline submit-by-hash jobs (at most
+    the server's default per-client quota unanswered per connection, so
+    replies are read while jobs are written), and measure end-to-end
+    latency from submission to reply.
 
     Every reply is matched back to its request by index, so dropped and
     duplicated results are counted exactly — [asim loadgen]'s "zero

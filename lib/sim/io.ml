@@ -10,7 +10,7 @@ type handler = {
 let console =
   let input ~address =
     match address with
-    | 0 -> ( try Char.code (input_char stdin) with End_of_file -> 0)
+    | 0 -> ( try Scanf.scanf "%c" Char.code with End_of_file -> 0)
     | 1 -> ( try Scanf.scanf " %d" (fun d -> d) with Scanf.Scan_failure _ | End_of_file -> 0)
     | _ -> (
         Printf.printf "Input from address %d: " address;

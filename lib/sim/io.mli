@@ -18,7 +18,8 @@ val console : handler
 (** The paper's [sinput]/[soutput] on stdin/stdout: address 0 transfers a
     character (code/char), address 1 an integer, other addresses an integer
     with an ["Input from address N:"] prompt or ["Output to address N: d"]
-    line. *)
+    line.  Characters and integers come from one buffered stdin, as with C's
+    stdio: a character read after an integer sees the rest of its line. *)
 
 val null : handler
 (** Inputs return 0; outputs are discarded.  For benchmarks. *)

@@ -498,6 +498,83 @@ let test_process_upload_then_hash () =
       Alcotest.(check int) "one compile" 1 s.Cache.misses
   | _ -> Alcotest.failf "expected 4 result lines, got %d" (List.length out)
 
+(* A spec_file naming a FIFO is refused, instead of holding the worker in
+   open(2) until a writer appears, and the next job is still answered.  A
+   watchdog opens the FIFO for writing if the manifest has not finished
+   after 10 s: that releases a blocked reader, so a blocking open fails
+   this test instead of hanging it. *)
+let test_process_spec_file_fifo () =
+  let fifo = Filename.temp_file "asim-spec" ".fifo" in
+  Sys.remove fifo;
+  Unix.mkfifo fifo 0o600;
+  let finished = Atomic.make false and unblocked = Atomic.make false in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Thread.delay 0.05
+        done;
+        if not (Atomic.get finished) then
+          match Unix.openfile fifo [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0 with
+          | fd ->
+              Atomic.set unblocked true;
+              Unix.close fd
+          | exception Unix.Unix_error _ -> ())
+      ()
+  in
+  let out =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set finished true;
+        Thread.join watchdog;
+        Sys.remove fifo)
+      (fun () ->
+        fst
+          (drive ~jobs:1
+             [
+               Printf.sprintf {|{"spec_file":%s}|} (Json.to_string (Json.String fifo));
+               {|{"example":"counter"}|};
+             ]))
+  in
+  Alcotest.(check bool) "answered without a writer" false (Atomic.get unblocked);
+  match out with
+  | [ fifo_line; counter_line ] ->
+      Alcotest.(check bool) "FIFO is an error naming the path" true
+        (contains fifo_line {|"status":"error"|}
+        && contains fifo_line "not a regular file"
+        && contains fifo_line (Filename.basename fifo));
+      Alcotest.(check bool) "next job ok" true (contains counter_line {|"status":"ok"|})
+  | _ -> Alcotest.failf "expected 2 result lines, got %d" (List.length out)
+
+(* The native engine's compile fails on every job of a batch (the artifact
+   cache points inside /dev/null, so creating it fails): each job gets a
+   structured error, and the workers live on to run the jobs after them. *)
+let crash_spec = "#crashy\n= 6\nr* n .\nA n 4 r 7\nM r 0 n 1 1\n.\n"
+
+let test_compile_failure_mid_batch () =
+  let var = "ASIM_JIT_CACHE_DIR" in
+  let old = Sys.getenv_opt var in
+  Unix.putenv var "/dev/null/nowhere";
+  Asim.Jit.clear_memory_cache ();
+  let job engine =
+    Printf.sprintf {|{"spec":%s,"engine":"%s"}|} (Json.to_string (Json.String crash_spec)) engine
+  in
+  let out =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
+      (fun () ->
+        fst
+          (drive ~jobs:2
+             (List.init 4 (fun _ -> job "native") @ List.init 2 (fun _ -> job "flat"))))
+  in
+  Alcotest.(check int) "every job answered" 6 (List.length out);
+  List.iteri
+    (fun i line ->
+      let expected = if i < 4 then {|"status":"error"|} else {|"status":"ok"|} in
+      Alcotest.(check bool) (Printf.sprintf "job %d" i) true (contains line expected))
+    out
+
 let () =
   Alcotest.run "batch"
     [
@@ -539,6 +616,12 @@ let () =
             test_process_profile_unsupported;
           Alcotest.test_case "upload then run by hash" `Quick
             test_process_upload_then_hash;
+          Alcotest.test_case "spec_file on a FIFO" `Quick test_process_spec_file_fifo;
+        ] );
+      ( "concurrency",
+        [
+          Alcotest.test_case "compile failure mid-batch" `Quick
+            test_compile_failure_mid_batch;
         ] );
       ( "metrics",
         [

@@ -631,88 +631,30 @@ let test_serve_metrics_request () =
               "asim_cache_capacity 64";
             ])
 
-(* --- the tiered engine through the CLI -------------------------------------- *)
+(* Console input is one buffered stream, as with C's stdio: the integer
+   read at address 1 and the character read at address 0 share it, so the
+   character after "42" is its newline (10). *)
+let io_probe = "# io probe\n= 2\na* b* .\nM a 1 0 2 1\nM b 0 0 2 1\n.\n"
 
-let count_occurrences haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i acc =
-    if i + nl > hl then acc
-    else if String.sub haystack i nl = needle then go (i + nl) (acc + 1)
-    else go (i + 1) acc
-  in
-  go 0 0
-
-let stats_field stats name =
-  Option.bind
-    (Asim_batch.Json.member name (Asim_batch.Json.parse (read_file stats)))
-    Asim_batch.Json.to_string_opt
-
-(* A forced swap (the ASIM_TIERED_SWAP_AT hook) must leave the trace
-   byte-identical to the flat engine's and record the handoff in the stats
-   JSON. *)
-let test_tiered_forced_swap () =
-  with_spec counter (fun path ->
-      in_temp ".stats" (fun stats ->
-          let _, flat = run_cli (Printf.sprintf "run %s -e flat" (Filename.quote path)) in
-          let code, tiered =
-            run_cli ~env:"ASIM_TIERED_SWAP_AT=3"
-              (Printf.sprintf "run %s -e tiered --stats-json %s"
-                 (Filename.quote path) (Filename.quote stats))
-          in
-          Alcotest.(check int) "exit" 0 code;
-          Alcotest.(check string) "trace identical to flat" flat tiered;
-          let j = Asim_batch.Json.parse (read_file stats) in
-          if Asim.Jit.available () then begin
-            Alcotest.(check (option string)) "swap recorded" (Some "swapped")
-              (stats_field stats "swap");
-            Alcotest.(check (option int)) "swap cycle" (Some 3)
-              (Option.bind (Asim_batch.Json.member "swap_cycle" j)
-                 Asim_batch.Json.to_int);
-            Alcotest.(check (option string)) "executing engine" (Some "native")
-              (stats_field stats "executing_engine")
-          end))
-
-(* The engine settings read from the environment are checked where they
-   are read: a malformed value is a usage error naming the variable. *)
-let test_malformed_engine_env () =
-  with_spec counter (fun path ->
-      List.iter
-        (fun (var, engine) ->
-          let code, text =
-            run_cli ~env:(var ^ "=sideways")
-              (Printf.sprintf "run %s -e %s" (Filename.quote path) engine)
-          in
-          Alcotest.(check int) (var ^ " exit") 2 code;
-          Alcotest.(check bool) (var ^ " named") true (contains text var))
-        [ ("ASIM_TIERED_SWAP_AT", "tiered"); ("ASIM_PAR_DOMAINS", "par") ])
-
-(* Without a toolchain on PATH, `-e tiered` must run to completion on the
-   flat kernel, warn exactly once (never per cycle), and record
-   swap=unavailable. *)
-let test_tiered_no_toolchain () =
-  with_spec counter (fun path ->
-      in_temp ".stats" (fun stats ->
-          let _, flat = run_cli (Printf.sprintf "run %s -e flat" (Filename.quote path)) in
-          let code, tiered =
-            run_cli ~env:"PATH="
-              (Printf.sprintf "run %s -e tiered --stats-json %s"
-                 (Filename.quote path) (Filename.quote stats))
-          in
-          Alcotest.(check int) "degraded run still exits 0" 0 code;
-          Alcotest.(check int) "exactly one warning" 1
-            (count_occurrences tiered "no OCaml toolchain");
-          let warning_stripped =
-            String.split_on_char '\n' tiered
-            |> List.filter (fun l -> not (contains l "no OCaml toolchain"))
-            |> String.concat "\n"
-          in
-          Alcotest.(check string) "trace identical to flat" flat warning_stripped;
-          Alcotest.(check (option string)) "swap unavailable" (Some "unavailable")
-            (stats_field stats "swap");
-          Alcotest.(check (option string)) "stays on flat" (Some "flat")
-            (stats_field stats "executing_engine")))
+let test_console_one_stream () =
+  with_spec io_probe (fun path ->
+      check_ok "run"
+        (run_cli ~stdin_text:"42\nAB\n"
+           (Printf.sprintf "run %s -e flat" (Filename.quote path)))
+        [ "a= 42 b= 10" ])
 
 (* --- the partitioned engine and its workload generator ---------------------- *)
+
+(* The engine setting read from the environment is checked where it is
+   read: a malformed value is a usage error naming the variable. *)
+let test_malformed_engine_env () =
+  with_spec counter (fun path ->
+      let code, text =
+        run_cli ~env:"ASIM_PAR_DOMAINS=sideways"
+          (Printf.sprintf "run %s -e par" (Filename.quote path))
+      in
+      Alcotest.(check int) "exit" 2 code;
+      Alcotest.(check bool) "named" true (contains text "ASIM_PAR_DOMAINS"))
 
 (* `asim genspec` is byte-deterministic for a fixed seed, reports its shape,
    and its output runs under `-e par` in lockstep with the flat engine (the
@@ -817,10 +759,8 @@ let () =
           Alcotest.test_case "batch trace" `Quick test_batch_trace;
           Alcotest.test_case "fuzz trace" `Quick test_fuzz_trace;
           Alcotest.test_case "serve metrics request" `Quick test_serve_metrics_request;
-          Alcotest.test_case "tiered forced swap" `Quick test_tiered_forced_swap;
           Alcotest.test_case "malformed engine env" `Quick test_malformed_engine_env;
-          Alcotest.test_case "tiered without a toolchain" `Quick
-            test_tiered_no_toolchain;
+          Alcotest.test_case "console input is one stream" `Quick test_console_one_stream;
           Alcotest.test_case "genspec deterministic" `Quick test_genspec_deterministic;
           Alcotest.test_case "genspec runs under par" `Quick
             test_genspec_runs_under_par;

@@ -25,12 +25,10 @@ let arbitrary_spec_wide = QCheck.make ~print:Pretty.spec (Gen.spec wide)
 
 (* The QCheck campaigns run the oracle on hundreds of distinct random
    specs; the native engine would pay a fresh compiler invocation for every
-   one of them, and the tiered engine would launch the same compile in the
-   background.  Both are excluded here and covered by their own
-   differential tests (test_jit.ml, test_tiered.ml) and by test_flat's
-   fixed-seed sweep through [Oracle.all]. *)
-let fast_engines =
-  List.filter (function `Native | `Tiered _ -> false | _ -> true) Oracle.all
+   one of them.  It is excluded here and covered by its own differential
+   tests (test_jit.ml) and by test_flat's fixed-seed sweep through
+   [Oracle.all]. *)
+let fast_engines = List.filter (function `Native -> false | _ -> true) Oracle.all
 
 let no_divergence spec =
   match Oracle.check ~engines:fast_engines spec with

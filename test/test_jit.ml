@@ -4,10 +4,11 @@
    kernel on the two big demo machines, observable equality (trace text,
    I/O events, final memories, statistics, faults) through the fuzz
    oracle, chunk-activity plugins against flat on ~1k-component specs
-   (faults over quiet chunks, re-stepping after runtime errors, a tiered
-   swap), span-verified artifact-cache hits, per-spec single flight, and
-   recovery from a corrupted on-disk artifact.  Every test no-ops when no OCaml toolchain
-   answers on PATH — the engine's own availability probe is the gate. *)
+   (faults over quiet chunks, re-stepping after runtime errors),
+   span-verified artifact-cache hits, single flight across domains and per
+   spec, and recovery from a corrupted on-disk artifact.  Every test no-ops
+   when no OCaml toolchain answers on PATH — the engine's own availability
+   probe is the gate. *)
 
 module Machine = Asim.Machine
 module Jit = Asim.Jit
@@ -242,35 +243,6 @@ let test_chunked_error_restep =
       Alcotest.(check int) "address error: raising steps" 4
         (lockstep_flat "mid-phase address error" mem ~cycles:12))
 
-(* The tiered engine adopts flat's live state into a multi-chunk plugin:
-   every chunk starts active, so the handoff is invisible. *)
-let test_chunked_tiered_swap =
-  if_toolchain (fun () ->
-      let analysis = mesh_1k () in
-      require_chunks analysis;
-      let run build =
-        let buf = Buffer.create 4096 in
-        let m : Machine.t =
-          build { quiet with Machine.trace = Asim.Trace.buffer_sink buf } analysis
-        in
-        Machine.run m ~cycles:200;
-        (Buffer.contents buf, m)
-      in
-      let flat_trace, flat = run (fun config a -> Asim.Flat.create ~config a) in
-      let status = ref (fun () -> assert false) in
-      let tiered_trace, tiered =
-        run (fun config a ->
-            let m, st =
-              Asim.Tiered.create_status ~config ~cache_dir ~swap_at:(Asim.Tiered.At 100) a
-            in
-            status := st;
-            m)
-      in
-      Alcotest.(check string) "swapped at 100" "swapped"
-        (Asim.Tiered.swap_state_to_string (!status ()).Asim.Tiered.state);
-      Alcotest.(check string) "trace identical" flat_trace tiered_trace;
-      same_state "after swap" analysis flat tiered)
-
 (* ------------------------------------------------------------------ *)
 (* Full observable equality through the oracle                        *)
 (* ------------------------------------------------------------------ *)
@@ -418,14 +390,53 @@ let test_corrupted_artifact_recompiles =
             close_in ic;
             n > String.length "not a plugin")))
 
+(* Single flight across domains: four domains build native machines on
+   the same cold spec at once.  The out-of-process compiler runs exactly
+   once (the other three wait for the first build), and every machine
+   agrees with the flat kernel. *)
+let sflight_spec = "#sflight\n= 6\nr* n .\nA n 4 r 9\nM r 0 n 1 1\n.\n"
+
+let test_single_flight =
+  if_toolchain (fun () ->
+      let analysis = Asim.load_string sflight_spec in
+      let artifact = Jit.artifact_path ~cache_dir analysis in
+      if Sys.file_exists artifact then Sys.remove artifact;
+      Jit.clear_memory_cache ();
+      let tracers = List.init 4 (fun _ -> Tracer.create ()) in
+      let workers =
+        List.map
+          (fun tracer ->
+            Domain.spawn (fun () ->
+                let m = Jit.create ~config:quiet ~tracer ~cache_dir analysis in
+                Machine.run m ~cycles:6;
+                m.Machine.read "r"))
+          tracers
+      in
+      let results = List.map Domain.join workers in
+      let flat = Asim.run_string ~config:quiet ~engine:`Flat sflight_spec in
+      List.iter
+        (fun r ->
+          Alcotest.(check int) "domain agrees with flat" (flat.Machine.read "r") r)
+        results;
+      let misses =
+        List.concat_map
+          (fun t -> List.filter (String.equal "miss") (span_cache t "codegen.native.compile"))
+          tracers
+      in
+      Alcotest.(check int) "exactly one compile across four domains" 1
+        (List.length misses))
+
 (* Single flight is per spec: while one domain compiles spec A, a spec B
-   that is already Dynlinked stays available to every other domain. *)
+   whose artifact is already on disk builds without waiting for A.  The
+   in-process memo is dropped first, so B takes its own lock and Dynlinks
+   again. *)
 let prepared_spec = "#ready\n= 6\nr* n .\nA n 4 r 7\nM r 0 n 1 1\n.\n"
 
 let test_prepared_during_compile =
   if_toolchain (fun () ->
       let b = Asim.load_string prepared_spec in
-      Jit.prepare ~cache_dir b;
+      ignore (Jit.create ~config:quiet ~cache_dir b : Machine.t);
+      Jit.clear_memory_cache ();
       let a = Asim.Analysis.analyze (Asim_fuzz.Gen.mesh ~width:31 ~height:32 ~seed:11 ()) in
       let artifact = Jit.artifact_path ~cache_dir a in
       if Sys.file_exists artifact then Sys.remove artifact;
@@ -443,22 +454,21 @@ let test_prepared_during_compile =
         Domain.spawn (fun () ->
             Fun.protect
               ~finally:(fun () -> Atomic.set a_done true)
-              (fun () -> Jit.prepare ~cache_dir a))
+              (fun () -> Jit.create ~config:quiet ~cache_dir a))
       in
       let deadline = Unix.gettimeofday () +. 120.0 in
       while (not (compiling ())) && (not (Atomic.get a_done)) && Unix.gettimeofday () < deadline do
         Unix.sleepf 0.001
       done;
       let in_flight = compiling () in
-      let b_ready = Jit.prepared b in
       let m = Jit.create ~config:quiet ~cache_dir b in
       Machine.run m ~cycles:3;
       let a_still_compiling = not (Atomic.get a_done) in
-      Domain.join d;
+      let ma = Domain.join d in
+      Machine.run ma ~cycles:3;
       Alcotest.(check bool) "A's compile was observed in flight" true in_flight;
-      Alcotest.(check bool) "B reported prepared" true b_ready;
       Alcotest.(check bool) "B answered before A's compile finished" true a_still_compiling;
-      Alcotest.(check bool) "A prepared afterwards" true (Jit.prepared a))
+      Alcotest.(check int) "A runs afterwards" 3 (ma.Machine.current_cycle ()))
 
 (* The generated source is deterministic: the cache key (canonical form)
    and the cached artifact stay honest across runs. *)
@@ -483,7 +493,6 @@ let () =
           Alcotest.test_case "fault window over quiet chunks" `Slow test_chunked_late_fault;
           Alcotest.test_case "re-step after selector and address errors" `Slow
             test_chunked_error_restep;
-          Alcotest.test_case "forced tiered swap" `Slow test_chunked_tiered_swap;
         ] );
       ( "observables",
         [
@@ -504,5 +513,10 @@ let () =
             test_generated_source_deterministic;
           Alcotest.test_case "prepared answers during another spec's compile" `Slow
             test_prepared_during_compile;
+        ] );
+      ( "concurrency",
+        [
+          Alcotest.test_case "single flight across domains" `Quick
+            test_single_flight;
         ] );
     ]

@@ -176,19 +176,24 @@ let test_profiled_step_zero_alloc () =
 
 (* A profiled native or par machine does not type-check ([Asim.profiled]
    takes counting engines only; test_cli covers the run-time refusal of
-   [-e native --profile]).  A profiled tiered machine pins itself to the
-   instrumented flat kernel instead of swapping from under the counters. *)
+   [-e native --profile]).  Every counting engine builds its own
+   instrumented machine: the profile names the engine that ran and counts
+   every cycle. *)
 let test_engine_dispatch () =
   let analysis = sieve_analysis () in
-  let prof = Prof.create analysis in
-  let m =
-    Asim.profiled ~config:quiet ~engine:(`Tiered Asim.Tiered.Auto) prof analysis
-  in
-  Machine.run m ~cycles:100;
-  Prof.finalize prof;
-  Alcotest.(check string) "tiered pins to flat" "tiered(flat-pinned)"
-    prof.Prof.engine;
-  Alcotest.(check int) "tiered counted its cycles" 100 prof.Prof.cycles
+  List.iter
+    (fun (engine, expected) ->
+      let prof = Prof.create analysis in
+      let m = Asim.profiled ~config:quiet ~engine prof analysis in
+      Machine.run m ~cycles:100;
+      Prof.finalize prof;
+      let name = Asim.engine_to_string engine in
+      Alcotest.(check string) (name ^ " names itself") expected prof.Prof.engine;
+      Alcotest.(check int) (name ^ " counted its cycles") 100 prof.Prof.cycles)
+    [
+      (`Interp, "interpreter"); (`Compiled, "compiled"); (`Unoptimized, "compiled");
+      (`Flat, "flat"); (`FlatFull, "flat");
+    ]
 
 let () =
   Alcotest.run "prof"

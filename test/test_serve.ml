@@ -407,6 +407,50 @@ let test_completion_order_streaming () =
           Alcotest.(check (option string)) "slow job follows" (Some "slow")
             (str_field second "id")))
 
+(* --- load generator ------------------------------------------------------------ *)
+
+(* One connection pipelines 100,000 jobs.  The load generator reads replies
+   while it writes, so neither side stalls on a full socket buffer.  A
+   deadlock cannot be undone from here, so a watchdog ends the process if
+   the run has not finished in 120 s: the suite fails instead of hanging. *)
+let test_loadgen_one_long_connection () =
+  with_server ~config:{ Server.default_config with shards = 2 } (fun _server port ->
+      let finished = Atomic.make false in
+      let watchdog =
+        Thread.create
+          (fun () ->
+            let deadline = Unix.gettimeofday () +. 120.0 in
+            while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+              Thread.delay 0.1
+            done;
+            if not (Atomic.get finished) then begin
+              prerr_endline "loadgen: 100000 jobs on one connection did not finish in 120 s";
+              Unix._exit 1
+            end)
+          ()
+      in
+      let r =
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set finished true;
+            Thread.join watchdog)
+          (fun () ->
+            Loadgen.run
+              {
+                Loadgen.host = "127.0.0.1";
+                port;
+                connections = 1;
+                jobs_per_connection = 100_000;
+                spec = counter;
+                cycles = None;
+                engine = `Compiled;
+                scrape = false;
+              })
+      in
+      Alcotest.(check int) "all ok" 100_000 r.Loadgen.ok;
+      Alcotest.(check int) "none dropped" 0 r.Loadgen.dropped;
+      Alcotest.(check int) "no duplicates" 0 r.Loadgen.duplicates)
+
 (* --- CLI: graceful shutdown -------------------------------------------------- *)
 
 let binary =
@@ -492,6 +536,11 @@ let () =
             test_oversized_and_malformed_lines;
           Alcotest.test_case "results stream in completion order" `Quick
             test_completion_order_streaming;
+        ] );
+      ( "loadgen",
+        [
+          Alcotest.test_case "100,000 jobs on one connection" `Quick
+            test_loadgen_one_long_connection;
         ] );
       ( "cli",
         [

@@ -317,10 +317,8 @@ let test_engine_names () =
       ("unoptimized", "unoptimized"); ("unopt", "unoptimized");
       ("flat-kernel", "flat"); ("flatkernel", "flat"); ("flat-full", "flat-full");
       ("flat_full", "flat-full"); ("FlatFull", "flat-full"); ("jit", "native");
-      ("tier", "tiered"); ("bsp", "par"); ("partitioned", "par");
-    ];
-  Alcotest.(check bool) "tiered defaults to auto" true
-    (engine_of_string "tiered" = Some (`Tiered Tiered.Auto))
+      ("bsp", "par"); ("partitioned", "par");
+    ]
 
 let test_run_string_uses_spec_cycles () =
   let m = run_string ~config:Machine.quiet_config Specs.counter in
