@@ -178,3 +178,7 @@ let memory_io_possible (m : Component.memory) =
   | None ->
       (* a single-bit operation can only read or write *)
       Expr.width m.op >= 2
+
+let supernode_size = 128
+let supernode pos = pos / supernode_size
+let supernodes n = (n + supernode_size - 1) / supernode_size

@@ -27,6 +27,23 @@ val analyze : Spec.t -> t
     Warnings (declared-but-not-defined, defined-but-not-declared, memory
     update-order hazards) are collected, not raised. *)
 
+(** {2 Supernodes}
+
+    The activity grain shared by the flat kernel and the native engine:
+    the evaluation order cut into runs of {!supernode_size} combinational
+    components (GSIM's supernodes).  Each engine keeps one activity byte
+    per supernode and skips a supernode whose byte is clear, so quiet logic
+    costs one test per supernode instead of one per component. *)
+
+val supernode_size : int
+(** Combinational components per supernode: 128. *)
+
+val supernode : int -> int
+(** The supernode holding an evaluation-order position. *)
+
+val supernodes : int -> int
+(** How many supernodes [n] combinational components fill (0 for none). *)
+
 val write_trace_condition : Component.memory -> trace_condition
 (** When must a "Write to ..." trace line be printed?  Constant operations
     decide statically ([op land 5 = 5]); non-constant operations at least

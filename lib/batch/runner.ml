@@ -78,6 +78,8 @@ let prof_to_json ?source (p : Asim.Prof.t) =
       ("sample_every", Json.Int p.sample_every);
       ("sampled_cycles", Json.Int p.sampled_cycles);
       ("levels", Json.Int p.nlevels);
+      ("supernodes", Json.Int p.supernodes);
+      ("supernode_scans", Json.Int p.supernode_scans);
       ( "components",
         Json.List
           (List.map

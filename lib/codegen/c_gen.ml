@@ -150,6 +150,15 @@ let syntax =
     trace_access =
       (fun what name ->
         sp "printf(\"%s %s at %%lld: %%lld\\n\", adr%s, temp%s);" what name name name);
+    check_address =
+      (fun adr cells (before_cycle, before_address, rest) ->
+        [
+          sp "if (%s < 0 || %s >= %d) {" adr adr cells;
+          sp "  fprintf(stderr, \"%s%%lld%s%%lld%s\\n\", cyclecount, %s);" before_cycle
+            before_address rest adr;
+          "  exit(1);";
+          "}";
+        ]);
     prologue;
     main;
   }

@@ -145,6 +145,15 @@ let syntax =
       (fun what name ->
         sp "print_string (Printf.sprintf \"%s %s at %%d: %%d\\n\" !adr%s !temp%s);" what
           name name name);
+    check_address =
+      (fun adr cells (before_cycle, before_address, rest) ->
+        [
+          sp "if %s < 0 || %s >= %d then begin" adr adr cells;
+          sp "  prerr_endline (Printf.sprintf \"%s%%d%s%%d%s\" cyclecount %s);"
+            before_cycle before_address rest adr;
+          "  exit 1";
+          "end;";
+        ]);
     prologue;
     main;
   }

@@ -196,6 +196,15 @@ let syntax =
     trace_access =
       (fun what name ->
         sp "writeln('%s %s at ', adr%s:1, ': ', temp%s:1);" what name name name);
+    check_address =
+      (fun adr cells (before_cycle, before_address, rest) ->
+        [
+          sp "if (%s < 0) or (%s >= %d) then begin" adr adr cells;
+          sp "  writeln(stderr, '%s', cyclecount:1, '%s', %s:1, '%s');" before_cycle
+            before_address adr rest;
+          "  halt(1)";
+          "end;";
+        ]);
     prologue;
     main;
   }

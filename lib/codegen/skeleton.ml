@@ -26,6 +26,7 @@ type syntax = {
   switch : Emitter.t -> string -> (unit -> unit) list -> unit;
   when_bits : string -> int -> int -> string;
   trace_access : string -> string -> string;
+  check_address : string -> int -> string * string * string -> string list;
   prologue : Emitter.t -> Analysis.t -> memory list -> unit;
   main : Emitter.t -> cycles:int -> (unit -> unit) -> unit;
 }
@@ -69,14 +70,36 @@ let alu sx e target (alu : Component.alu) =
   | Some Component.Fn_lt -> sx.flag target (Printf.sprintf "%s < %s" (l ()) (r ()))
   | None -> set (sx.call "dologic" [ e alu.fn; l (); r () ])
 
+(* The engines' address error ([Machine.address_out_of_range] as
+   [Error.to_string] prints it), cut where the cycle number and the address
+   go. *)
+let address_error name ~cells =
+  ( Error.to_string
+      { Error.phase = Error.Runtime; position = None; component = Some name; message = "cycle " },
+    ": memory address ",
+    Printf.sprintf " outside declared range 0..%d" (cells - 1) )
+
 (* Figure 4.3: a constant operation keeps only its own arm; §5.4 drops the
    temporary of a never-read constant read or write; anything else
-   dispatches on the latched operation at run time. *)
+   dispatches on the latched operation at run time.  A read or a write
+   first checks its latched address as the engines do (input and output do
+   not), the elided read included; a constant address in range needs no
+   check. *)
 let memory_update sx em e { name; mem; elide } =
   let line = Emitter.line em in
   let temp = "temp" ^ name and adr = sx.deref ("adr" ^ name) in
-  let read () = line (sx.assign temp (sx.load name)) in
+  let cells = mem.Component.cells in
+  let check () =
+    match Lower.lower mem.Component.addr with
+    | [ Lower.Const a ] when a >= 0 && a < cells -> ()
+    | _ -> List.iter line (sx.check_address adr cells (address_error name ~cells))
+  in
+  let read () =
+    check ();
+    line (sx.assign temp (sx.load name))
+  in
   let write () =
+    check ();
     line (sx.assign temp (e mem.Component.data));
     line (sx.store name (sx.deref temp))
   in
@@ -88,8 +111,12 @@ let memory_update sx em e { name; mem; elide } =
   match Lower.memory_const_op mem with
   | Some op when elide -> (
       match Component.memory_op_of_code op with
-      | Component.Op_read -> line (sx.comment (name ^ ": read result unused, temp elided"))
-      | Component.Op_write -> line (sx.store name (e mem.Component.data))
+      | Component.Op_read ->
+          check ();
+          line (sx.comment (name ^ ": read result unused, temp elided"))
+      | Component.Op_write ->
+          check ();
+          line (sx.store name (e mem.Component.data))
       | Component.Op_input | Component.Op_output -> assert false)
   | Some op -> (
       match Component.memory_op_of_code op with

@@ -6,7 +6,8 @@
     updates), §4.4's inline code for constant ALU functions (Figure 4.1),
     the selector (Figure 4.2), the memory update with its constant-operation
     specialization, §5.4's temporary elision and the run-time operation
-    dispatch (Figure 4.3), and when a read or write trace line is printed.
+    dispatch (Figure 4.3), the engines' address check on every read and
+    write, and when a read or write trace line is printed.
     A backend supplies only a {!syntax}: how its language spells each of
     those pieces, plus its verbatim support routines. *)
 
@@ -49,6 +50,11 @@ type syntax = {
           [op land mask = value] *)
   trace_access : string -> string -> string;
       (** ["Write to"] or ["Read from"], memory name: the trace statement *)
+  check_address : string -> int -> string * string * string -> string list;
+      (** latched address, cells, the engines' error text cut at its two
+          holes: unless the address lies in [0 .. cells-1], print the text
+          with the cycle number and the address in the holes to stderr and
+          exit with status 1 *)
   prologue : Emitter.t -> Asim_analysis.Analysis.t -> memory list -> unit;
       (** everything before the main program: header, declarations,
           initialization and support routines *)

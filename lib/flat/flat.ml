@@ -421,6 +421,7 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
     ?(tracer = Asim_obs.Tracer.null) ?prof
     (analysis : Asim_analysis.Analysis.t) =
   let module Prof = Asim_prof.Prof in
+  let module A = Asim_analysis.Analysis in
   let module T = Asim_obs.Tracer in
   let p =
     T.span tracer
@@ -505,14 +506,60 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
   let fault_targets = Fault.targets faults in
   let comb_id = p.p_comb_id and comb_entry = p.p_comb_entry in
   let dep_off = p.p_dep_off and dep_len = p.p_dep_len and deps = p.p_deps in
-  (* Everything starts dirty; a faulted component is pinned dirty so a
-     cycle-windowed fault keeps firing even over quiescent logic. *)
+  (* Two activity levels: a dirty byte per combinational position and an
+     active byte per supernode.  A mark sets both, so a supernode with a
+     dirty position is always active and a clear one is skipped with one
+     test.  Everything starts dirty and active; a faulted component is
+     pinned dirty and its supernode pinned active, so a cycle-windowed
+     fault keeps firing even over quiescent logic. *)
+  let nsuper = A.supernodes ncomb in
   let dirty = Bytes.make (max 1 ncomb) '\001' in
   let comb_fault = Bytes.make (max 1 ncomb) '\000' in
+  let active = Bytes.make (max 1 nsuper) '\001' in
+  let pinned = Bytes.make (max 1 nsuper) '\000' in
   for i = 0 to ncomb - 1 do
-    if List.mem names.(comb_id.(i)) fault_targets then
-      Bytes.set comb_fault i '\001'
+    if List.mem names.(comb_id.(i)) fault_targets then begin
+      Bytes.set comb_fault i '\001';
+      Bytes.set pinned (A.supernode i) '\001'
+    end
   done;
+  (* The distinct supernodes of each slot's dependents, laid out like
+     [p_deps]: a wake-up sets each supernode byte once, however many of the
+     slot's dependents it holds.  On a spec of one supernode that is one
+     store per wake-up instead of one per dependent. *)
+  let sn_off = Array.make (max 1 ncomp) 0 and sn_len = Array.make (max 1 ncomp) 0 in
+  let sns = Array.make (max 1 (Array.length deps)) 0 in
+  let seen_by = Array.make (max 1 nsuper) (-1) in
+  let n = ref 0 in
+  for id = 0 to ncomp - 1 do
+    sn_off.(id) <- !n;
+    for j = dep_off.(id) to dep_off.(id) + dep_len.(id) - 1 do
+      let s = A.supernode deps.(j) in
+      if seen_by.(s) <> id then begin
+        seen_by.(s) <- id;
+        sns.(!n) <- s;
+        incr n
+      end
+    done;
+    sn_len.(id) <- !n - sn_off.(id)
+  done;
+  (* Inlined at every marking site: a call per wake-up costs a small spec
+     about 5% of its cycle. *)
+  let[@inline] wake id =
+    let o = Array.unsafe_get dep_off id in
+    for j = o to o + Array.unsafe_get dep_len id - 1 do
+      Bytes.unsafe_set dirty (Array.unsafe_get deps j) '\001'
+    done;
+    let o = Array.unsafe_get sn_off id in
+    for j = o to o + Array.unsafe_get sn_len id - 1 do
+      Bytes.unsafe_set active (Array.unsafe_get sns j) '\001'
+    done
+  in
+  (* Supernode [s] holds positions [s * A.supernode_size .. last s]. *)
+  let[@inline] last s =
+    let stop = (s + 1) * A.supernode_size in
+    (if stop > ncomb then ncomb else stop) - 1
+  in
   let evals = Array.make (max 1 ncomb) 0 in
   let exec = make_exec p ~vals ~cycle in
   let activity = match schedule with Activity -> true | Full -> false in
@@ -532,42 +579,47 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
     done
   in
   let comb_activity () =
-    for i = 0 to ncomb - 1 do
-      if Bytes.unsafe_get dirty i <> '\000' then (
-        let id = Array.unsafe_get comb_id i in
-        let v = exec (Array.unsafe_get comb_entry i) 0 0 0 in
-        (* Cleared only after a successful evaluation, so a runtime error
-           (selector out of range) re-raises if the machine is stepped
-           again — same observable behavior as the closure engines. *)
-        Bytes.unsafe_set dirty i (Bytes.unsafe_get comb_fault i);
-        Array.unsafe_set evals i (Array.unsafe_get evals i + 1);
-        let v =
-          if Bytes.unsafe_get comb_fault i = '\000' then v
-          else
-            Fault.apply faults ~cycle:!cycle
-              ~component:(Array.unsafe_get names id)
-              v
-        in
-        if Array.unsafe_get vals id <> v then (
-          Array.unsafe_set vals id v;
-          (* The value changed: wake the combinational cone.  Dependents
-             always sit later in evaluation order, so they re-evaluate
-             this same cycle and clear their own bits. *)
-          let o = Array.unsafe_get dep_off id in
-          let stop = o + Array.unsafe_get dep_len id in
-          for j = o to stop - 1 do
-            Bytes.unsafe_set dirty (Array.unsafe_get deps j) '\001'
-          done))
+    for s = 0 to nsuper - 1 do
+      if Bytes.unsafe_get active s <> '\000' then begin
+        for i = s * A.supernode_size to last s do
+          if Bytes.unsafe_get dirty i <> '\000' then (
+            let id = Array.unsafe_get comb_id i in
+            let v = exec (Array.unsafe_get comb_entry i) 0 0 0 in
+            (* Cleared only after a successful evaluation, so a runtime
+               error (selector out of range) re-raises if the machine is
+               stepped again — same observable behavior as the closure
+               engines. *)
+            Bytes.unsafe_set dirty i (Bytes.unsafe_get comb_fault i);
+            Array.unsafe_set evals i (Array.unsafe_get evals i + 1);
+            let v =
+              if Bytes.unsafe_get comb_fault i = '\000' then v
+              else
+                Fault.apply faults ~cycle:!cycle
+                  ~component:(Array.unsafe_get names id)
+                  v
+            in
+            if Array.unsafe_get vals id <> v then (
+              Array.unsafe_set vals id v;
+              (* The value changed: wake the combinational cone.
+                 Dependents always sit later in evaluation order, so they
+                 re-evaluate this same cycle and clear their own bits. *)
+              wake id))
+        done;
+        (* Reset only after the scan returns, for the same reason; a mark
+           into this supernode during its own scan was consumed by it. *)
+        Bytes.unsafe_set active s (Bytes.unsafe_get pinned s)
+      end
     done
   in
   (* Instrumented twins of the two loops above.  One preallocated-array
      increment per evaluation, slot-indexed (it replaces the
-     position-indexed [evals] bump, so the per-eval work is unchanged);
-     fault triggers count only when the injected fault actually perturbed
-     the value.  Dirty skips are not counted here — every combinational
-     position is considered exactly once per cycle, so [Prof.finalize]
-     derives them as [cycles - evals]. *)
-  let comb_full_prof pe () =
+     position-indexed [evals] bump, so the per-eval work is unchanged), and
+     one per scanned supernode; fault triggers count only when the injected
+     fault actually perturbed the value.  Dirty skips are not counted here —
+     every combinational position is considered exactly once per cycle, so
+     [Prof.finalize] derives them as [cycles - evals]. *)
+  let comb_full_prof (pr : Prof.t) pe () =
+    pr.Prof.supernode_scans <- pr.Prof.supernode_scans + nsuper;
     for i = 0 to ncomb - 1 do
       let id = Array.unsafe_get comb_id i in
       let v = exec (Array.unsafe_get comb_entry i) 0 0 0 in
@@ -587,33 +639,35 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
       Array.unsafe_set vals id v
     done
   in
-  let comb_activity_prof pe () =
-    for i = 0 to ncomb - 1 do
-      if Bytes.unsafe_get dirty i <> '\000' then begin
-        let id = Array.unsafe_get comb_id i in
-        let v = exec (Array.unsafe_get comb_entry i) 0 0 0 in
-        Bytes.unsafe_set dirty i (Bytes.unsafe_get comb_fault i);
-        Array.unsafe_set pe id (Array.unsafe_get pe id + 1);
-        let v =
-          if Bytes.unsafe_get comb_fault i = '\000' then v
-          else begin
-            let v' =
-              Fault.apply faults ~cycle:!cycle
-                ~component:(Array.unsafe_get names id)
-                v
+  let comb_activity_prof (pr : Prof.t) pe () =
+    for s = 0 to nsuper - 1 do
+      if Bytes.unsafe_get active s <> '\000' then begin
+        pr.Prof.supernode_scans <- pr.Prof.supernode_scans + 1;
+        for i = s * A.supernode_size to last s do
+          if Bytes.unsafe_get dirty i <> '\000' then begin
+            let id = Array.unsafe_get comb_id i in
+            let v = exec (Array.unsafe_get comb_entry i) 0 0 0 in
+            Bytes.unsafe_set dirty i (Bytes.unsafe_get comb_fault i);
+            Array.unsafe_set pe id (Array.unsafe_get pe id + 1);
+            let v =
+              if Bytes.unsafe_get comb_fault i = '\000' then v
+              else begin
+                let v' =
+                  Fault.apply faults ~cycle:!cycle
+                    ~component:(Array.unsafe_get names id)
+                    v
+                in
+                if v' <> v then count_fault id;
+                v'
+              end
             in
-            if v' <> v then count_fault id;
-            v'
+            if Array.unsafe_get vals id <> v then begin
+              Array.unsafe_set vals id v;
+              wake id
+            end
           end
-        in
-        if Array.unsafe_get vals id <> v then begin
-          Array.unsafe_set vals id v;
-          let o = Array.unsafe_get dep_off id in
-          let stop = o + Array.unsafe_get dep_len id in
-          for j = o to stop - 1 do
-            Bytes.unsafe_set dirty (Array.unsafe_get deps j) '\001'
-          done
-        end
+        done;
+        Bytes.unsafe_set active s (Bytes.unsafe_get pinned s)
       end
     done
   in
@@ -667,12 +721,7 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
        if v <> before then count_fault id;
        Array.unsafe_set vals id v
      end);
-    if activity && Array.unsafe_get vals id <> old then (
-      let o = Array.unsafe_get dep_off id in
-      let stop = o + Array.unsafe_get dep_len id in
-      for j = o to stop - 1 do
-        Bytes.unsafe_set dirty (Array.unsafe_get deps j) '\001'
-      done)
+    if activity && Array.unsafe_get vals id <> old then wake id
   in
   let traced =
     Spec.traced_names analysis.Asim_analysis.Analysis.spec
@@ -703,16 +752,20 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
     match prof with
     | None -> step
     | Some pr ->
+        pr.Prof.supernodes <- nsuper;
         let pe = pr.Prof.evals in
         let do_comb_prof =
-          if activity then comb_activity_prof pe else comb_full_prof pe
+          if activity then comb_activity_prof pr pe else comb_full_prof pr pe
         in
         (* Sampled cycle profiler.  Every [sample_every]-th cycle the
            combinational wave is evaluated level by level with a clock read
            per level.  Level-major order is still a valid dependency order
            (every dependency sits at a strictly smaller level), so dirty
            marks still only ever point forward and the sampled cycle
-           computes exactly what the position-order cycle would. *)
+           computes exactly what the position-order cycle would.  It tests
+           dirty bytes alone, but marks supernodes like the scan does, so
+           afterwards the active supernodes are exactly those the scan
+           would have visited: each counts once and is reset. *)
         let nlev = max 1 pr.Prof.nlevels in
         let lvl_of_pos i = pr.Prof.levels.(Array.unsafe_get comb_id i) in
         let perm = Array.init ncomb (fun i -> i) in
@@ -751,11 +804,7 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
             if activity then begin
               if Array.unsafe_get vals id <> v then begin
                 Array.unsafe_set vals id v;
-                let o = Array.unsafe_get dep_off id in
-                let stop = o + Array.unsafe_get dep_len id in
-                for j = o to stop - 1 do
-                  Bytes.unsafe_set dirty (Array.unsafe_get deps j) '\001'
-                done
+                wake id
               end
             end
             else Array.unsafe_set vals id v
@@ -770,7 +819,15 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
             done;
             level_ns.(l) <-
               level_ns.(l) +. ((Asim_obs.Clock.now () -. t0) *. 1e9)
-          done
+          done;
+          if activity then
+            for s = 0 to nsuper - 1 do
+              if Bytes.unsafe_get active s <> '\000' then begin
+                pr.Prof.supernode_scans <- pr.Prof.supernode_scans + 1;
+                Bytes.unsafe_set active s (Bytes.unsafe_get pinned s)
+              end
+            done
+          else pr.Prof.supernode_scans <- pr.Prof.supernode_scans + nsuper
         in
         let sample_every = pr.Prof.sample_every in
         let togo = ref 1 in

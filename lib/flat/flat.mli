@@ -16,14 +16,22 @@
     I/O are quiet.
 
     {b Activity-driven scheduling.}  With [~schedule:Activity] (the
-    default), each combinational component carries a dirty bit seeded from
-    the specification's dependency graph.  A cycle only re-evaluates the
-    combinational cone downstream of registers, memories and inputs whose
-    {e values} actually changed; a producer whose output is recomputed but
-    equal wakes nobody.  Memories always latch (they are sequential), and
-    fault-injected components are pinned permanently dirty so cycle-windowed
-    faults keep firing.  [~schedule:Full] re-evaluates everything every
-    cycle — the ablation baseline, the [flat-full] engine.
+    default), each combinational component carries a dirty byte seeded
+    from the specification's dependency graph.  A cycle only re-evaluates
+    the combinational cone downstream of registers, memories and inputs
+    whose {e values} actually changed; a producer whose output is
+    recomputed but equal wakes nobody.  Activity has a second level: each
+    supernode ({!Asim_analysis.Analysis.supernode_size} components in
+    evaluation order, the native engine's chunk) carries an active byte
+    that every wake-up of one of its components sets, and the scan skips
+    an inactive supernode with one test, so quiet logic costs one byte per
+    supernode per cycle.  A supernode's byte is reset only after its scan
+    returns, so a selector error re-raises when the machine is stepped
+    again.  Memories always latch (they are sequential), and fault-injected
+    components are pinned permanently dirty, their supernodes permanently
+    active, so cycle-windowed faults keep firing.  [~schedule:Full]
+    re-evaluates everything every cycle — the ablation baseline, the
+    [flat-full] engine.
 
     The result is observationally identical to [Asim_interp] and
     [Asim_compile] (the differential-fuzz oracle enforces this): same
@@ -61,7 +69,8 @@ val create :
 
     [prof] attaches an {!Asim_prof.Prof} profile: evaluation and fault
     counters tick in the kernel's hot loops (one preallocated-array
-    increment per evaluation), the flat program's per-component word counts
+    increment per evaluation, one counter bump per scanned supernode), the
+    flat program's per-component word counts
     fill the profile's static cost model, the I/O handler is wrapped with a
     wait timer, and every [sample_every]-th cycle is timed per topological
     level.  Without [prof] the machine is built from the exact

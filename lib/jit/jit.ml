@@ -121,11 +121,19 @@ let default_cache_dir () =
       in
       Filename.concat (Filename.concat base "asim") "jit"
 
+(* The artifact cache's file-system calls report a failure as a runtime
+   error naming the path and the reason, never as a raw [Unix_error]. *)
+let cache_error what path err =
+  Error.failf Error.Runtime "native engine: cannot %s %s: %s" what path
+    (Unix.error_message err)
+
 let rec ensure_dir path =
   if not (Sys.file_exists path) then begin
     let parent = Filename.dirname path in
     if not (String.equal parent path) then ensure_dir parent;
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    try Unix.mkdir path 0o755 with
+    | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    | Unix.Unix_error (err, _, _) -> cache_error "create directory" path err
   end
 
 (* The generated module bakes in the evaluation order, and the optimizer's
@@ -295,12 +303,12 @@ let ctx_fields =
 
 (* --- chunk activity ------------------------------------------------------------ *)
 
-(* Combinational components per chunk.  A spec whose combinational phase fits
+(* A chunk is one supernode ([Analysis.supernode_size] combinational
+   components in evaluation order).  A spec whose combinational phase fits
    in one chunk gets a single straight-line step function; a larger one is
-   split, in evaluation order, into top-level chunk functions, and the step
-   runs a chunk only when one of its inputs changed (GSIM's supernodes, the
-   flat kernel's dirty bits at chunk grain). *)
-let chunk_size = 128
+   split into top-level chunk functions, and the step runs a chunk only when
+   one of its inputs changed — the flat kernel's supernode activity, in
+   generated code. *)
 
 (* [readers.(slot)]: the chunks holding a combinational reader of [slot], in
    ascending order.  Every referenced name counts, including operands the
@@ -310,7 +318,7 @@ let chunk_readers ids (order : Component.t array) =
   let readers = Array.make (max 1 (Hashtbl.length ids)) [] in
   Array.iteri
     (fun pos c ->
-      let chunk = pos / chunk_size in
+      let chunk = Analysis.supernode pos in
       List.iter
         (fun name ->
           let s = slot ids name in
@@ -355,7 +363,7 @@ let generate_source (analysis : Analysis.t) =
     spec.Spec.components;
   let mems, _cells_len = layout_memories analysis ids in
   let order = Array.of_list analysis.Analysis.order in
-  let nchunks = (Array.length order + chunk_size - 1) / chunk_size in
+  let nchunks = Analysis.supernodes (Array.length order) in
   let chunked = nchunks > 1 in
   let readers = if chunked then chunk_readers ids order else [||] in
   let e = Emitter.create () in
@@ -372,7 +380,8 @@ let generate_source (analysis : Analysis.t) =
     Array.iteri
       (fun pos (c : Component.t) ->
         linef "  %d;%s" (slot ids c.name)
-          (if pos mod chunk_size = 0 then Printf.sprintf " (* chunk %d *)" (pos / chunk_size)
+          (if pos mod Analysis.supernode_size = 0 then
+             Printf.sprintf " (* chunk %d *)" (Analysis.supernode pos)
            else ""))
       order;
     line "|]";
@@ -382,7 +391,8 @@ let generate_source (analysis : Analysis.t) =
         "let chunk_%d (vals : int array) (faulted : bool array) (fault : int -> int -> int)"
         chunk;
       line "    (sel_error : int -> int -> int -> int) (active : Bytes.t) =";
-      for pos = chunk * chunk_size to min (Array.length order) ((chunk + 1) * chunk_size) - 1 do
+      for pos = chunk * Analysis.supernode_size
+          to min (Array.length order) ((chunk + 1) * Analysis.supernode_size) - 1 do
         let c = order.(pos) in
         let woken = List.filter (fun r -> r > chunk) readers.(slot ids c.name) in
         emit_comb e "  " ids ~woken c
@@ -404,7 +414,7 @@ let generate_source (analysis : Analysis.t) =
     linef
       "  Array.iteri (fun pos id -> if Array.unsafe_get faulted id then \
        Bytes.unsafe_set pinned (pos / %d) '\\001') comb_slots;"
-      chunk_size
+      Analysis.supernode_size
   end;
   line "  fun () ->";
   let body fmt = put e "    " fmt in
@@ -542,11 +552,15 @@ let clear_memory_cache () =
         memo)
 
 let with_file_lock path f =
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+  let fd =
+    try Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
+    with Unix.Unix_error (err, _, _) -> cache_error "create lock file" path err
+  in
   Fun.protect
     ~finally:(fun () -> Unix.close fd (* releases the lockf region *))
     (fun () ->
-      Unix.lockf fd Unix.F_LOCK 0;
+      (try Unix.lockf fd Unix.F_LOCK 0
+       with Unix.Unix_error (err, _, _) -> cache_error "lock" path err);
       f ())
 
 let rec remove_tree path =

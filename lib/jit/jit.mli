@@ -31,11 +31,12 @@ val generate_source : Asim_analysis.Analysis.t -> string
     and independent of any [Machine.config]: one artifact serves every
     tracing/I/O/fault configuration.
 
-    A spec whose combinational components fit in one chunk (128, in
-    evaluation order) gets one straight-line step function that evaluates
-    every component every cycle.  A larger spec is split into chunks, each
-    a top-level function, and the step runs a chunk only when its activity
-    byte is set.  A component read by a later chunk stores only on change
+    A spec whose combinational components fit in one supernode
+    ({!Asim_analysis.Analysis.supernode_size} components in evaluation
+    order, the flat kernel's activity grain) gets one straight-line step
+    function that evaluates every component every cycle.  A larger spec is
+    split into one chunk per supernode, each a top-level function, and the
+    step runs a chunk only when its activity byte is set.  A component read by a later chunk stores only on change
     and then sets the readers' bytes; a memory update does the same right
     after its own update.  Every chunk starts active, a chunk's byte is
     cleared only after it returns (a selector error re-raises on the next

@@ -28,6 +28,8 @@ type t = {
   mutable io_ns : float;
   mutable io_events : int;
   mutable cycles : int;
+  mutable supernodes : int;
+  mutable supernode_scans : int;
   mutable engine : string;
   mutable schedule : string;
   mutable stats : Stats.t option;
@@ -108,6 +110,8 @@ let create ?(sample_every = 256) (analysis : Analysis.t) =
     io_ns = 0.0;
     io_events = 0;
     cycles = 0;
+    supernodes = 0;
+    supernode_scans = 0;
     engine = "";
     schedule = "";
     stats = None;
@@ -241,6 +245,10 @@ let report ?(top = 10) ?source t =
     (if t.engine = "" then "?" else t.engine)
     (if t.schedule = "" then "-" else t.schedule)
     t.cycles t.sampled_cycles t.sample_every;
+  if t.supernodes > 0 then
+    Printf.bprintf b "supernodes: %d, scanned %.2f per cycle\n" t.supernodes
+      (if t.cycles = 0 then 0.0
+       else float_of_int t.supernode_scans /. float_of_int t.cycles);
   if t.io_events > 0 then
     Printf.bprintf b "io: %d transfers, %.3f ms waiting\n" t.io_events
       (t.io_ns /. 1e6);

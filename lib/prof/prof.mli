@@ -56,6 +56,13 @@ type t = {
   mutable io_ns : float;  (** wall time inside the I/O handler *)
   mutable io_events : int;
   mutable cycles : int;  (** cycles executed with this profile attached *)
+  mutable supernodes : int;
+      (** the flat kernel's supernodes ({!Asim_analysis.Analysis.supernode_size}
+          combinational components each); 0 under engines without them *)
+  mutable supernode_scans : int;
+      (** supernodes whose components were scanned: under activity
+          scheduling one per supernode found active, under the full schedule
+          every supernode every cycle *)
   mutable engine : string;
   mutable schedule : string;
   mutable stats : Asim_sim.Stats.t option;
@@ -122,8 +129,9 @@ val cost_model : t -> (string * float) list
     static program size. *)
 
 val report : ?top:int -> ?source:string -> t -> string
-(** Human-readable profile: run header, top-N hot components, sampled
-    per-level timings and memory traffic. *)
+(** Human-readable profile: run header, supernode scans per cycle (engines
+    with supernodes), top-N hot components, sampled per-level timings and
+    memory traffic. *)
 
 val to_flame : ?source:string -> t -> string
 (** Folded flame stacks (one [frame;frame;frame count] line per component,

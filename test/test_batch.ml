@@ -316,7 +316,7 @@ let drive ~jobs lines =
   Asim_serve.Server.drain server;
   Unix.close fd;
   Sys.remove path;
-  (List.rev !out, (Asim_serve.Server.summary server).Metrics.cache)
+  (List.rev !out, Asim_serve.Server.summary server)
 
 let counter_job_line = {|{"spec":"# counter\n= 8\ncount* inc .\nA inc 4 count 1\nM count 0 inc 1 1\n.\n"}|}
 
@@ -427,7 +427,7 @@ let test_metrics_prometheus_names () =
    spec on compiled, flat and compiled without the §4.4 optimizations is
    one entry. *)
 let test_process_cache_shared_across_engines () =
-  let out, s =
+  let out, { Metrics.cache = s; _ } =
     drive ~jobs:1
       [
         {|{"example":"stack-machine-sieve","engine":"compiled"}|};
@@ -463,7 +463,7 @@ let test_process_profile_unsupported () =
 
 let test_process_cache_hit_rate () =
   (* 64 identical jobs: 1 miss, 63 hits — the >90% acceptance bar. *)
-  let out, s = drive ~jobs:4 (List.init 64 (fun _ -> counter_job_line)) in
+  let out, { Metrics.cache = s; _ } = drive ~jobs:4 (List.init 64 (fun _ -> counter_job_line)) in
   Alcotest.(check int) "all ran" 64 (List.length out);
   Alcotest.(check int) "one miss" 1 s.Cache.misses;
   Alcotest.(check int) "the rest hit" 63 s.Cache.hits;
@@ -475,7 +475,7 @@ let test_process_upload_then_hash () =
   let hash =
     Digest.to_hex (Digest.string (Asim.Pretty.spec (Asim.Parser.parse_string counter)))
   in
-  let out, s =
+  let out, { Metrics.cache = s; _ } =
     drive ~jobs:2
       [
         Printf.sprintf {|{"control":"upload","spec":%s}|}
@@ -575,6 +575,36 @@ let test_compile_failure_mid_batch () =
       Alcotest.(check bool) (Printf.sprintf "job %d" i) true (contains line expected))
     out
 
+(* The same unusable artifact cache, with a toolchain present: the engine
+   itself answers with an error naming the path, so the job is not a crash
+   caught by the server ([internal:]) and counts under its own engine. *)
+let test_native_cache_dir_error () =
+  if Asim.Jit.available () then begin
+    let var = "ASIM_JIT_CACHE_DIR" in
+    let old = Sys.getenv_opt var in
+    Unix.putenv var "/dev/null/nowhere";
+    Asim.Jit.clear_memory_cache ();
+    let out, summary =
+      Fun.protect
+        ~finally:(fun () -> Unix.putenv var (Option.value old ~default:""))
+        (fun () ->
+          drive ~jobs:1
+            [
+              Printf.sprintf {|{"spec":%s,"engine":"native"}|}
+                (Json.to_string (Json.String crash_spec));
+            ])
+    in
+    (match out with
+    | [ line ] ->
+        Alcotest.(check bool) "structured error naming the path" true
+          (contains line {|"status":"error"|}
+          && contains line "cannot create directory /dev/null/nowhere"
+          && not (contains line "internal:"))
+    | _ -> Alcotest.failf "expected 1 result line, got %d" (List.length out));
+    Alcotest.(check (list string)) "counted under its engine" [ "native" ]
+      (List.map (fun (l : Metrics.engine_latency) -> l.Metrics.engine) summary.Metrics.latencies)
+  end
+
 let () =
   Alcotest.run "batch"
     [
@@ -622,6 +652,8 @@ let () =
         [
           Alcotest.test_case "compile failure mid-batch" `Quick
             test_compile_failure_mid_batch;
+          Alcotest.test_case "artifact cache cannot be created" `Quick
+            test_native_cache_dir_error;
         ] );
       ( "metrics",
         [

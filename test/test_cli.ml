@@ -643,6 +643,78 @@ let test_console_one_stream () =
            (Printf.sprintf "run %s -e flat" (Filename.quote path)))
         [ "a= 42 b= 10" ])
 
+(* --- toolchain-dependent cases ------------------------------------------------ *)
+
+let answers cmd = Sys.command (cmd ^ " > /dev/null 2>&1") = 0
+
+(* A native artifact cache that cannot be created (it would sit inside
+   /dev/null) is a runtime error naming the path and the reason, not an
+   uncaught exception.  Without a toolchain the engine refuses earlier. *)
+let test_native_cache_dir_error () =
+  if Asim.Jit.available () then
+    with_spec counter (fun path ->
+        let code, text =
+          run_cli ~env:"ASIM_JIT_CACHE_DIR=/dev/null/nowhere"
+            (Printf.sprintf "run %s -e native" (Filename.quote path))
+        in
+        Alcotest.(check int) "exit" 1 code;
+        Alcotest.(check bool) "names the path and the reason" true
+          (contains text
+             "runtime error: native engine: cannot create directory /dev/null/nowhere: Not a \
+              directory"))
+
+(* Past its program ROM the sieve reads address 137 of 137 cells.  The
+   engines stop on that cycle with a runtime error; the generated C and
+   OCaml programs must print the same line (the CLI prefixes its own name)
+   and exit 1 too, not index past the array. *)
+let test_generated_address_check () =
+  if answers "cc --version" && answers "ocamlfind ocamlopt -version" then begin
+    let dir = Filename.temp_file "asim-cli-gen" "" in
+    Sys.remove dir;
+    Unix.mkdir dir 0o700;
+    Fun.protect
+      ~finally:(fun () -> remove_tree dir)
+      (fun () ->
+        let file name = Filename.quote (Filename.concat dir name) in
+        write_file (Filename.concat dir "sieve.asim")
+          (List.assoc "stack-machine-sieve" Asim.Specs.all);
+        let sh cmd = Alcotest.(check int) cmd 0 (Sys.command (cmd ^ " > /dev/null 2>&1")) in
+        List.iter
+          (fun (lang, out) ->
+            sh
+              (Printf.sprintf "%s codegen %s -l %s -o %s" (Filename.quote binary)
+                 (file "sieve.asim") lang (file out)))
+          [ ("c", "sieve.c"); ("ocaml", "sieve.ml") ];
+        sh (Printf.sprintf "cc -O0 -o %s %s" (file "sieve_c") (file "sieve.c"));
+        sh
+          (Printf.sprintf "cd %s && ocamlfind ocamlopt -o sieve_ml sieve.ml"
+             (Filename.quote dir));
+        let expected =
+          "runtime error (component <prog>): cycle 5555: memory address 137 outside \
+           declared range 0..136"
+        in
+        List.iter
+          (fun (what, cmd, line) ->
+            let code =
+              Sys.command
+                (Printf.sprintf "%s < /dev/null > /dev/null 2> %s" cmd (file "err"))
+            in
+            let lines =
+              String.split_on_char '\n' (String.trim (read_file (Filename.concat dir "err")))
+            in
+            Alcotest.(check int) (what ^ " exit") 1 code;
+            Alcotest.(check string) (what ^ " error line") line
+              (List.nth lines (List.length lines - 1)))
+          [
+            ( "flat",
+              Printf.sprintf "%s run %s -e flat -n 10000" (Filename.quote binary)
+                (file "sieve.asim"),
+              "asim: " ^ expected );
+            ("C program", file "sieve_c" ^ " 10000", expected);
+            ("OCaml program", file "sieve_ml" ^ " 10000", expected);
+          ])
+  end
+
 (* --- the partitioned engine and its workload generator ---------------------- *)
 
 (* The engine setting read from the environment is checked where it is
@@ -761,6 +833,10 @@ let () =
           Alcotest.test_case "serve metrics request" `Quick test_serve_metrics_request;
           Alcotest.test_case "malformed engine env" `Quick test_malformed_engine_env;
           Alcotest.test_case "console input is one stream" `Quick test_console_one_stream;
+          Alcotest.test_case "native artifact cache cannot be created" `Quick
+            test_native_cache_dir_error;
+          Alcotest.test_case "generated programs check addresses" `Quick
+            test_generated_address_check;
           Alcotest.test_case "genspec deterministic" `Quick test_genspec_deterministic;
           Alcotest.test_case "genspec runs under par" `Quick
             test_genspec_runs_under_par;

@@ -2,7 +2,9 @@
    differential checks against the closure compiler, the interpreter, the
    lowered-IR evaluator and the partitioned engine at two domains on the
    two big demo machines, activity-scheduling (dirty-bit) behavior on a
-   hand-built diamond dependency graph, the zero-per-cycle-allocation
+   hand-built diamond dependency graph, supernode activity on designs of
+   several supernodes against engines without activity, the
+   zero-per-cycle-allocation
    guarantee, and the codegen spans.  The generic cross-engine semantics
    matrix lives in test_engines.ml / test_equiv.ml, which iterate over
    [Oracle.all] and so cover the flat engine too. *)
@@ -168,6 +170,49 @@ let test_diamond_semantics () =
   lockstep "diamond" (Asim.Parser.parse_string diamond) ~cycles:50
 
 (* ------------------------------------------------------------------ *)
+(* Supernode activity on designs larger than one supernode            *)
+(* ------------------------------------------------------------------ *)
+
+(* The designs test_jit runs the native engine's chunk functions on, here
+   against two engines with no activity at all, so the supernode rules are
+   checked without a toolchain: a mark that misses a later supernode, a
+   supernode byte cleared before its scan returns, or a fault target's
+   supernode left unpinned each shows up as a divergence. *)
+let flat_vs_full =
+  [
+    ("flat", fun config analysis -> Flat.create ~config ~schedule:Flat.Activity analysis);
+    ("compiled", fun config analysis -> Asim.Compile.create ~config analysis);
+    ("flat-full", fun config analysis -> Flat.create ~config ~schedule:Flat.Full analysis);
+  ]
+
+let require_supernodes (analysis : Asim.Analysis.t) =
+  Alcotest.(check bool) "more than one supernode" true
+    (List.length analysis.Asim.Analysis.order > Asim.Analysis.supernode_size)
+
+let test_supernode_lockstep () =
+  List.iter
+    (fun (what, analysis) ->
+      require_supernodes analysis;
+      Alcotest.(check int) (what ^ ": no errors") 0
+        (Supernode_designs.lockstep ~engines:flat_vs_full what analysis ~cycles:300))
+    (Supernode_designs.lockstep_designs ())
+
+let test_supernode_late_fault () =
+  List.iter
+    (fun (what, analysis, cycles, faults) ->
+      require_supernodes analysis;
+      ignore (Supernode_designs.lockstep ~engines:flat_vs_full what analysis ~cycles ~faults))
+    (Supernode_designs.late_fault_designs ())
+
+let test_supernode_error_restep () =
+  List.iter
+    (fun (what, analysis, cycles, raising) ->
+      require_supernodes analysis;
+      Alcotest.(check int) (what ^ ": raising steps") raising
+        (Supernode_designs.lockstep ~engines:flat_vs_full what analysis ~cycles))
+    (Supernode_designs.error_designs ())
+
+(* ------------------------------------------------------------------ *)
 (* Zero per-cycle allocation                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -295,6 +340,15 @@ let () =
         [
           Alcotest.test_case "dirty-bit seeding" `Quick test_dirty_seeding;
           Alcotest.test_case "full ablation" `Quick test_full_ablation_counts;
+        ] );
+      ( "supernode",
+        [
+          Alcotest.test_case "1k designs vs compiled, flat-full" `Slow
+            test_supernode_lockstep;
+          Alcotest.test_case "fault window over quiet logic" `Quick
+            test_supernode_late_fault;
+          Alcotest.test_case "re-step after errors" `Quick
+            test_supernode_error_restep;
         ] );
       ( "allocation",
         [

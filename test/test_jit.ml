@@ -117,131 +117,40 @@ let require_chunks analysis =
   Alcotest.(check bool) "plugin is split into chunks" true
     (contains (Jit.generate_source analysis) "let chunk_1 ")
 
-let o2 analysis = (Asim.Opt.run_result ~level:Asim.Opt.O2 analysis).Asim.Opt.analysis
+(* Flat first: the reference the plugin must match. *)
+let flat_and_native =
+  [
+    ("flat", fun config analysis -> Asim.Flat.create ~config analysis);
+    ("native", fun config analysis -> Jit.create ~config ~cache_dir analysis);
+  ]
 
-(* Outcome of one step: the error text, if it raised. *)
-let step_outcome (m : Machine.t) =
-  match m.Machine.step () with
-  | () -> None
-  | exception Asim.Error.Error e -> Some (Asim.Error.to_string e)
-
-let same_state what (analysis : Asim.Analysis.t) (flat : Machine.t) (native : Machine.t) =
-  List.iter
-    (fun (c : Asim.Component.t) ->
-      let name = c.Asim.Component.name in
-      let expect = flat.Machine.read name and got = native.Machine.read name in
-      if got <> expect then
-        Alcotest.failf "%s, cycle %d: %s native=%d flat=%d" what
-          (flat.Machine.current_cycle ()) name got expect;
-      match c.Asim.Component.kind with
-      | Asim.Component.Memory { cells; _ } ->
-          for i = 0 to cells - 1 do
-            if native.Machine.read_cell name i <> flat.Machine.read_cell name i then
-              Alcotest.failf "%s: cell %s[%d] differs" what name i
-          done
-      | _ -> ())
-    analysis.Asim.Analysis.spec.Asim.Spec.components;
-  Alcotest.(check int) (what ^ ": cycle") (flat.Machine.current_cycle ())
-    (native.Machine.current_cycle ())
-
-(* Step flat and native together, comparing every slot and cell after
-   every step (errors included) and the trace text at the end.  Returns how
-   many steps raised. *)
-let lockstep_flat ?(faults = []) what analysis ~cycles =
-  let run_config () =
-    let buf = Buffer.create 1024 in
-    ({ quiet with Machine.trace = Asim.Trace.buffer_sink buf; faults }, buf)
-  in
-  let fc, fbuf = run_config () and nc, nbuf = run_config () in
-  let flat = Asim.Flat.create ~config:fc analysis in
-  let native = Jit.create ~config:nc ~cache_dir analysis in
-  let errors = ref 0 in
-  for _ = 1 to cycles do
-    let f = step_outcome flat and n = step_outcome native in
-    Alcotest.(check (option string)) (what ^ ": step outcome") f n;
-    if f <> None then incr errors;
-    same_state what analysis flat native
-  done;
-  Alcotest.(check string) (what ^ ": trace") (Buffer.contents fbuf) (Buffer.contents nbuf);
-  !errors
-
-let mesh_1k () = Asim.Analysis.analyze (Asim_fuzz.Gen.mesh ~width:31 ~height:32 ~seed:3 ())
-let pipeline_1k () = Asim.Analysis.analyze (Asim_fuzz.Gen.pipeline ~cores:10 ~depth:99 ~seed:3 ())
-
-(* [n] chained increments off [head] (by default a constant, so the chain
-   settles after the first cycle) latched into a traced register, plus
-   [extra] component lines. *)
-let chain_spec ?(head = "1") ?(names = []) ?(extra = []) n =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "#chain\n= 100\nr*";
-  List.iter (Printf.bprintf b " %s") names;
-  for i = 0 to n - 1 do
-    Printf.bprintf b " c%d" i
-  done;
-  Printf.bprintf b " .\nA c0 4 %s 1\n" head;
-  for i = 1 to n - 1 do
-    Printf.bprintf b "A c%d 4 c%d 1\n" i (i - 1)
-  done;
-  List.iter (Printf.bprintf b "%s\n") extra;
-  Printf.bprintf b "M r 0 c%d 1 1\n.\n" (n - 1);
-  Asim.load_string (Buffer.contents b)
-
-(* The generated designs settle quickly, and most chunks read a register;
-   the counting chain changes every cycle and only its first chunk reads the
-   counter, so each later chunk runs only when the one before marks it. *)
 let test_chunked_lockstep =
   if_toolchain (fun () ->
       List.iter
         (fun (what, analysis) ->
           require_chunks analysis;
-          Alcotest.(check int) (what ^ ": no errors") 0 (lockstep_flat what analysis ~cycles:300))
-        [
-          ("mesh-1k", mesh_1k ());
-          ("mesh-1k -O2", o2 (mesh_1k ()));
-          ("pipeline-1k", pipeline_1k ());
-          ("pipeline-1k -O2", o2 (pipeline_1k ()));
-          ( "counting chain",
-            chain_spec 400 ~head:"cnt" ~names:[ "cnt"; "inc" ]
-              ~extra:[ "A inc 4 cnt 1"; "M cnt 0 inc 1 1" ] );
-        ])
+          Alcotest.(check int) (what ^ ": no errors") 0
+            (Supernode_designs.lockstep ~engines:flat_and_native what analysis ~cycles:300))
+        (Supernode_designs.lockstep_designs ()))
 
-(* The pinned-chunk case: the chain is quiet long before the stuck-at
-   window opens, so only pinning the target's chunk active makes the fault
-   fire.  Then a late fault on a live mesh. *)
 let test_chunked_late_fault =
   if_toolchain (fun () ->
-      let chain = chain_spec 400 in
-      require_chunks chain;
-      ignore
-        (lockstep_flat "quiet chain, late stuck-at" chain ~cycles:80
-           ~faults:[ Asim.Fault.stuck_at ~first_cycle:40 ~last_cycle:60 "c395" 0 ]);
-      ignore
-        (lockstep_flat "mesh-1k, late stuck-at" (mesh_1k ()) ~cycles:200
-           ~faults:[ Asim.Fault.stuck_at ~first_cycle:150 "n20x17" 5 ]))
+      List.iter
+        (fun (what, analysis, cycles, faults) ->
+          require_chunks analysis;
+          ignore
+            (Supernode_designs.lockstep ~engines:flat_and_native what analysis ~cycles
+               ~faults))
+        (Supernode_designs.late_fault_designs ()))
 
-(* Runtime errors inside a chunk and partway through the memory phase:
-   stepping again must re-raise and leave exactly flat's state. *)
 let test_chunked_error_restep =
   if_toolchain (fun () ->
-      (* [sel] depends on the chain's end, so it sits in the last chunk;
-         its select runs off the counter and leaves range at cnt = 2. *)
-      let sel =
-        chain_spec 300 ~names:[ "cnt"; "inc"; "sel" ]
-          ~extra:[ "A inc 4 cnt 1"; "S sel cnt.0.1 c299 c299"; "M cnt 0 inc 1 1" ]
-      in
-      require_chunks sel;
-      Alcotest.(check int) "selector error: raising steps" 6
-        (lockstep_flat "selector error" sel ~cycles:8);
-      (* [cnt] updates first and wakes [inc] and [w] (last chunk); [bad]
-         then faults on its address for cnt = 4..7, so each re-step runs
-         on the marks [cnt] made before the error. *)
-      let mem =
-        chain_spec 300 ~names:[ "cnt"; "inc"; "w"; "bad" ]
-          ~extra:[ "A inc 4 cnt 1"; "A w 4 c299 cnt"; "M cnt 0 inc 1 1"; "M bad cnt.0.2 w 1 4" ]
-      in
-      require_chunks mem;
-      Alcotest.(check int) "address error: raising steps" 4
-        (lockstep_flat "mid-phase address error" mem ~cycles:12))
+      List.iter
+        (fun (what, analysis, cycles, raising) ->
+          require_chunks analysis;
+          Alcotest.(check int) (what ^ ": raising steps") raising
+            (Supernode_designs.lockstep ~engines:flat_and_native what analysis ~cycles))
+        (Supernode_designs.error_designs ()))
 
 (* ------------------------------------------------------------------ *)
 (* Full observable equality through the oracle                        *)

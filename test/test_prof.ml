@@ -156,6 +156,38 @@ let test_report_surfaces () =
     (Asim_obs.Tracer.event_count tr > 0
     && prof.Prof.sampled_cycles > 0)
 
+(* Supernode scans are an exact work count.  A chain fed by a constant
+   settles on the first cycle, so each of its four supernodes is scanned
+   once; a chain fed by the counter register changes end to end every
+   cycle, so every supernode is scanned every cycle.  Under the full
+   schedule every supernode counts every cycle, and an engine without
+   supernodes reports none.  Every 7th cycle takes the sampled level-major
+   loop, which must count the same. *)
+let test_supernode_scans () =
+  let cycles = 50 in
+  let run engine analysis =
+    let prof = Prof.create ~sample_every:7 analysis in
+    let m = Asim.profiled ~config:quiet ~engine prof analysis in
+    Machine.run m ~cycles;
+    prof
+  in
+  let check what (prof : Prof.t) ~supernodes ~scans =
+    Alcotest.(check int) (what ^ ": supernodes") supernodes prof.Prof.supernodes;
+    Alcotest.(check int) (what ^ ": scans") scans prof.Prof.supernode_scans
+  in
+  let constant = Supernode_designs.chain_spec 400
+  and counting = Supernode_designs.counting_chain 400 in
+  check "constant chain" (run `Flat constant) ~supernodes:4 ~scans:4;
+  check "counting chain" (run `Flat counting) ~supernodes:4 ~scans:(4 * cycles);
+  check "flat-full" (run `FlatFull constant) ~supernodes:4 ~scans:(4 * cycles);
+  check "interpreter" (run `Interp counting) ~supernodes:0 ~scans:0;
+  let json = Asim_batch.Runner.prof_to_json (run `Flat constant) in
+  List.iter
+    (fun (field, expected) ->
+      Alcotest.(check (option int)) ("JSON " ^ field) (Some expected)
+        Asim_batch.Json.(Option.bind (member field json) to_int))
+    [ ("supernodes", 4); ("supernode_scans", 4) ]
+
 (* The instrumented hot path is one int-array increment per evaluation:
    off the sampled cycles it must allocate nothing beyond test_flat's
    fixed allowance (a sampling period longer than the loop keeps the
@@ -206,6 +238,7 @@ let () =
             test_activity_accounting;
           Alcotest.test_case "memory counters match stats" `Quick
             test_memory_counters_match_stats;
+          Alcotest.test_case "supernode scans" `Quick test_supernode_scans;
         ] );
       ( "reports",
         [ Alcotest.test_case "report surfaces" `Quick test_report_surfaces ] );
