@@ -1027,8 +1027,7 @@ let fuzz_cmd =
       & info [ "engines" ] ~docv:"LIST"
           ~doc:
             "Comma-separated engines to compare (first is the reference): \
-             any $(b,-e) engine of $(b,asim run), plus $(b,lowered) (the \
-             codegen lowering evaluated directly) and $(b,buggy) (a \
+             any $(b,-e) engine of $(b,asim run), plus $(b,buggy) (a \
              deliberately faulty compiler).  $(b,native) is dropped with a \
              warning when no OCaml toolchain answers on PATH.")
   in

@@ -1,13 +1,24 @@
 module Registry = Asim_obs.Registry
 
+let window = 65_536
+
+(* One engine's jobs: the live histogram, whose count and maximum are exact
+   over every job, and the elapsed seconds of the most recent [window] jobs
+   for exact percentiles.  [recent] grows by doubling up to [window], then
+   is a ring that overwrites its oldest sample. *)
+type engine_jobs = {
+  hist : Registry.histogram;
+  mutable recent : float array;
+  mutable recorded : int;
+}
+
 type t = {
   mutex : Mutex.t;
   registry : Registry.t;
   ok_c : Registry.counter;
   error_c : Registry.counter;
   timeout_c : Registry.counter;
-  by_engine : (string, float list ref) Hashtbl.t;  (** elapsed seconds, unordered *)
-  hists : (string, Registry.histogram) Hashtbl.t;
+  by_engine : (string, engine_jobs) Hashtbl.t;
 }
 
 let status_counter registry status =
@@ -24,31 +35,37 @@ let create () =
     error_c = status_counter registry "error";
     timeout_c = status_counter registry "timeout";
     by_engine = Hashtbl.create 4;
-    hists = Hashtbl.create 4;
   }
 
 let registry t = t.registry
 
-let engine_hist t engine =
-  match Hashtbl.find_opt t.hists engine with
-  | Some h -> h
+let engine_jobs t engine =
+  match Hashtbl.find_opt t.by_engine engine with
+  | Some j -> j
   | None ->
-      let h =
+      let hist =
         Registry.histogram t.registry ~help:"Job wall-clock duration"
           ~labels:[ ("engine", engine) ]
           "asim_job_duration_seconds"
       in
-      Hashtbl.replace t.hists engine h;
-      h
+      let j = { hist; recent = Array.make 16 0.0; recorded = 0 } in
+      Hashtbl.replace t.by_engine engine j;
+      j
 
 let record t ~engine ~status ~elapsed =
   Mutex.lock t.mutex;
   Registry.inc
     (match status with `Ok -> t.ok_c | `Error -> t.error_c | `Timeout -> t.timeout_c);
-  Registry.observe (engine_hist t engine) elapsed;
-  (match Hashtbl.find_opt t.by_engine engine with
-  | Some cell -> cell := elapsed :: !cell
-  | None -> Hashtbl.replace t.by_engine engine (ref [ elapsed ]));
+  let j = engine_jobs t engine in
+  Registry.observe j.hist elapsed;
+  let size = Array.length j.recent in
+  if j.recorded = size && size < window then begin
+    let bigger = Array.make (min window (2 * size)) 0.0 in
+    Array.blit j.recent 0 bigger 0 size;
+    j.recent <- bigger
+  end;
+  j.recent.(j.recorded mod Array.length j.recent) <- elapsed;
+  j.recorded <- j.recorded + 1;
   Mutex.unlock t.mutex
 
 let set_cache t (cache : Cache.stats) =
@@ -97,17 +114,17 @@ let summarize t ~cache ~wall_s =
   Mutex.lock t.mutex;
   let latencies =
     Hashtbl.fold
-      (fun engine cell acc ->
-        let sorted = Array.of_list !cell in
+      (fun engine j acc ->
+        let sorted = Array.sub j.recent 0 (min j.recorded (Array.length j.recent)) in
         Array.sort compare sorted;
         let ms p = percentile sorted p *. 1000.0 in
         {
           engine;
-          count = Array.length sorted;
+          count = Registry.hist_count j.hist;
           p50_ms = ms 50.0;
           p90_ms = ms 90.0;
           p99_ms = ms 99.0;
-          max_ms = (if Array.length sorted = 0 then 0.0 else sorted.(Array.length sorted - 1) *. 1000.0);
+          max_ms = Registry.hist_max j.hist *. 1000.0;
         }
         :: acc)
       t.by_engine []

@@ -2,15 +2,18 @@
     cache effectiveness, and per-engine latency percentiles.  Thread-safe —
     workers record from any domain.
 
-    Since PR 3 this is a view over an {!Asim_obs.Registry}: every
-    [record] updates live Prometheus instruments ([asim_jobs_total{status}]
-    counters, [asim_job_duration_seconds{engine}] histograms) as well as
-    the exact per-engine samples behind the end-of-run {!summary}.  The
-    registry is what `asim serve` exposes on a [{"control":"metrics"}]
-    request and via [--metrics-file]; the summary keeps its historical
-    exact-percentile semantics. *)
+    This is a view over an {!Asim_obs.Registry}: every [record] updates
+    live Prometheus instruments ([asim_jobs_total{status}] counters,
+    [asim_job_duration_seconds{engine}] histograms) and keeps the most
+    recent {!window} latencies per engine for the exact percentiles of the
+    {!summary}.  The registry is what `asim serve` exposes on a
+    [{"control":"metrics"}] request and via [--metrics-file].  Memory stays
+    bounded however long a server runs. *)
 
 type t
+
+val window : int
+(** Latencies kept per engine for the summary's percentiles (65,536). *)
 
 val create : unit -> t
 
@@ -26,11 +29,11 @@ val set_cache : t -> Cache.stats -> unit
 
 type engine_latency = {
   engine : string;
-  count : int;
-  p50_ms : float;
+  count : int;  (** every job recorded *)
+  p50_ms : float;  (** p50/p90/p99: over the most recent {!window} jobs *)
   p90_ms : float;
   p99_ms : float;
-  max_ms : float;
+  max_ms : float;  (** over every job recorded *)
 }
 
 type summary = {
@@ -52,8 +55,11 @@ val percentile : float array -> float -> float
     with n < 100). *)
 
 val summarize : t -> cache:Cache.stats -> wall_s:float -> summary
-(** Exact percentiles from the recorded samples.  [jobs_per_sec] is 0 when
-    [wall_s] is not a positive finite number (never [inf]/[nan]). *)
+(** Exact percentiles over each engine's most recent {!window} samples;
+    count and maximum from its histogram, over every job.  A run shorter
+    than the window therefore reports exact figures over all its jobs.
+    [jobs_per_sec] is 0 when [wall_s] is not a positive finite number
+    (never [inf]/[nan]). *)
 
 val to_string : summary -> string
 (** Multi-line human-readable report (the CLI prints it to stderr). *)

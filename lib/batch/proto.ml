@@ -37,8 +37,8 @@ let want_of_string = function
   | _ -> None
 
 let known_fields =
-  [ "id"; "trace_id"; "spec_file"; "spec"; "example"; "spec_hash"; "engine"; "optimize";
-    "opt"; "cycles"; "inputs"; "want"; "timeout_s" ]
+  [ "id"; "trace_id"; "spec_file"; "spec"; "example"; "spec_hash"; "engine"; "opt";
+    "cycles"; "inputs"; "want"; "timeout_s" ]
 
 let is_md5_hex s =
   String.length s = 32
@@ -104,12 +104,6 @@ let job_of_json json =
             match Asim.engine_of_string name with
             | Some e -> Ok e
             | None -> Error (Printf.sprintf "unknown engine %S" name))
-      in
-      (* The §4.4 switch predates the [unoptimized] engine name; it only
-         ever applied to the closure compiler. *)
-      let* optimize = field_opt json "optimize" Json.to_bool ~expected:"a boolean" in
-      let engine =
-        match (engine, optimize) with `Compiled, Some false -> `Unoptimized | _ -> engine
       in
       let* opt =
         field_opt json "opt"

@@ -43,9 +43,7 @@ type job = {
           Perfetto filter isolates a job end to end *)
   source : source;
   engine : Asim.engine;
-      (** field ["engine"], default [`Compiled]; the legacy field
-          ["optimize": false] turns [`Compiled] into [`Unoptimized] and is
-          ignored on every other engine *)
+      (** field ["engine"], default [`Compiled] *)
   opt : Asim.Opt.level option;
       (** the middle-end level for this job (field ["opt"], accepting 0/1/2
           as number or string); [None] defers to the session default

@@ -1,11 +1,10 @@
 open Asim_core
 open Asim_sim
 
-type engine = [ Asim.engine | `Lowered | `Buggy ]
+type engine = [ Asim.engine | `Buggy ]
 
 let engine_of_string s : engine option =
   match String.lowercase_ascii s with
-  | "lowered" | "lower" | "ir" -> Some `Lowered
   | "buggy" -> Some `Buggy
   | s -> (Asim.engine_of_string s :> engine option)
 
@@ -14,8 +13,7 @@ let engine_of_string s : engine option =
 let all =
   List.map
     (fun name -> Option.get (engine_of_string name))
-    [ "interp"; "compiled"; "unoptimized"; "lowered"; "flat"; "flat-full"; "par";
-      "native" ]
+    [ "interp"; "compiled"; "unoptimized"; "flat"; "flat-full"; "par"; "native" ]
 
 (* [`Native] shells out to the host toolchain; a campaign on a box without
    one should drop the engine (with a warning) rather than abort. *)
@@ -29,10 +27,9 @@ let available : engine -> bool = function
    itself on both sides. *)
 let optimized_class : engine -> bool = function
   | `Flat | `FlatFull | `Par _ | `Native -> true
-  | `Interp | `Compiled | `Unoptimized | `Lowered | `Buggy -> false
+  | `Interp | `Compiled | `Unoptimized | `Buggy -> false
 
 let engine_to_string : engine -> string = function
-  | `Lowered -> "lowered"
   | `Buggy -> "buggy"
   | #Asim.engine as e -> Asim.engine_to_string e
 
@@ -49,7 +46,6 @@ let inject_bug (spec : Spec.t) =
 
 let build (engine : engine) ~config (analysis : Asim_analysis.Analysis.t) =
   match engine with
-  | `Lowered -> Loweval.create ~config analysis
   | `Buggy ->
       Asim_compile.Compile.create ~config
         (Asim_analysis.Analysis.analyze
@@ -191,7 +187,10 @@ let diff ~engine_a ~engine_b (a : observation) (b : observation) =
       }
   end
 
-let check ?feed ?cycles ?opt ?(engines = all) spec =
+let check ?feed ?cycles ?opt ?engines spec =
+  let engines =
+    match engines with Some engines -> engines | None -> List.filter available all
+  in
   match engines with
   | [] | [ _ ] -> None
   | reference :: rest ->

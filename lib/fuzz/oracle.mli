@@ -6,16 +6,15 @@
     runtime errors.  The first engine of the list is the reference; the
     first pair that disagrees yields a {!divergence}. *)
 
-type engine = [ Asim.engine | `Lowered | `Buggy ]
-(** Every {!Asim.engine}, with its own settings, plus two the oracle builds
-    itself: [`Lowered] executes the codegen lowering directly ({!Loweval});
-    [`Buggy] is [`Compiled] over a deliberately corrupted spec (every
-    constant ALU-function 4/add becomes 5/sub) — a fault-injected engine
-    for exercising the oracle and shrinker end to end. *)
+type engine = [ Asim.engine | `Buggy ]
+(** Every {!Asim.engine}, with its own settings, plus one the oracle builds
+    itself: [`Buggy] is [`Compiled] over a deliberately corrupted spec
+    (every constant ALU-function 4/add becomes 5/sub) — a fault-injected
+    engine for exercising the oracle and shrinker end to end. *)
 
 val all : engine list
-(** The eight honest engines: [`Interp] (the reference), [`Compiled],
-    [`Unoptimized], [`Lowered], [`Flat], [`FlatFull], [`Par] (at
+(** The seven honest engines: [`Interp] (the reference), [`Compiled],
+    [`Unoptimized], [`Flat], [`FlatFull], [`Par] (at
     {!Asim.Par.default_domains}) and [`Native]. *)
 
 val available : engine -> bool
@@ -24,16 +23,14 @@ val available : engine -> bool
     unavailable engines with a warning instead of aborting. *)
 
 val engine_of_string : string -> engine option
-(** ["lowered"]/["lower"]/["ir"], ["buggy"], or any {!Asim.engine_of_string}
-    name. *)
+(** ["buggy"], or any {!Asim.engine_of_string} name. *)
 
 val engine_to_string : engine -> string
 
 val build :
   engine -> config:Asim_sim.Machine.config -> Asim_analysis.Analysis.t ->
   Asim_sim.Machine.t
-(** [`Lowered] and [`Buggy] here; every other engine through
-    {!Asim.machine}. *)
+(** [`Buggy] here; every other engine through {!Asim.machine}. *)
 
 val inject_bug : Asim_core.Spec.t -> Asim_core.Spec.t
 (** The [`Buggy] engine's corruption, exposed for tests: constant ALU
@@ -63,7 +60,7 @@ val observe :
     the run and is recorded, not raised.  With [opt] above [O0] the
     optimized-class engines (flat, flat-full, par, native) consume
     the [Asim_opt.Opt.run] rewrite while the reference class (interp,
-    compiled, unoptimized, lowered, buggy) stays on the raw spec — a
+    compiled, unoptimized, buggy) stays on the raw spec — a
     middle-end miscompile therefore surfaces as a divergence.  Components
     stubbed by dead-component elimination are masked to 0 in the snapshots
     and final outputs of {e every} engine so DCE itself is not reported. *)
@@ -83,8 +80,9 @@ val diff :
 val check :
   ?feed:int list -> ?cycles:int -> ?opt:Asim_opt.Opt.level ->
   ?engines:engine list -> Asim_core.Spec.t -> divergence option
-(** Observe [spec] on every engine (default {!all}) and compare each against
-    the first; [None] means all engines agree on everything.  [opt] (default
-    [O0]) optimizes the optimized-class engines as in {!observe}. *)
+(** Observe [spec] on every engine (default: the engines of {!all} that
+    are {!available}) and compare each against the first; [None] means all
+    engines agree on everything.  [opt] (default [O0]) optimizes the
+    optimized-class engines as in {!observe}. *)
 
 val divergence_to_string : divergence -> string

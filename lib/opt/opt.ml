@@ -303,8 +303,7 @@ type decision = Keep | FoldedConst of int | WiredTo of string
 
 (* ------------------------------------------------------------------ *)
 
-let run_result ?(level = O2) ?passes ?(keep = []) ?(costs = [])
-    (analysis : Analysis.t) =
+let run_result ?(level = O2) ?passes ?(keep = []) (analysis : Analysis.t) =
   let passes =
     match passes with Some ps -> ps | None -> passes_of_level level
   in
@@ -772,17 +771,8 @@ let run_result ?(level = O2) ?passes ?(keep = []) ?(costs = [])
         not (List.for_all (never_errors ~bw:bw_final) base_order)
       then (base_order, false)
       else begin
-        let cost_tbl = Hashtbl.create 16 in
-        List.iter (fun (n, c) -> Hashtbl.replace cost_tbl n c) costs;
         let cost (c : Component.t) =
-          match Hashtbl.find_opt cost_tbl c.Component.name with
-          | Some f -> f
-          | None ->
-              float_of_int
-                (List.fold_left
-                   (fun acc e -> acc + List.length e)
-                   0
-                   (Component.inputs c))
+          List.fold_left (fun acc e -> acc + List.length e) 0 (Component.inputs c)
         in
         (* [base_order] is topological, so one forward pass computes the
            dependency depth of every component. *)
@@ -802,7 +792,7 @@ let run_result ?(level = O2) ?passes ?(keep = []) ?(costs = [])
         let indexed =
           List.mapi
             (fun i (c : Component.t) ->
-              (Hashtbl.find depth c.Component.name, -.cost c, i, c))
+              (Hashtbl.find depth c.Component.name, - cost c, i, c))
             base_order
         in
         let sorted =
@@ -844,5 +834,4 @@ let run_result ?(level = O2) ?passes ?(keep = []) ?(costs = [])
     }
   end
 
-let run ?level ?passes ?keep ?costs analysis =
-  (run_result ?level ?passes ?keep ?costs analysis).analysis
+let run ?level ?passes ?keep analysis = (run_result ?level ?passes ?keep analysis).analysis

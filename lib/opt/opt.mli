@@ -70,7 +70,6 @@ val run_result :
   ?level:level ->
   ?passes:pass list ->
   ?keep:string list ->
-  ?costs:(string * float) list ->
   Asim_analysis.Analysis.t ->
   result
 (** Optimize an analyzed spec.  [passes] overrides [level]'s pass set (for
@@ -78,15 +77,12 @@ val run_result :
     whose values must be preserved exactly and whose width claims cannot be
     trusted — engines pass the fault-plan targets, batch passes every name
     when raw outputs are requested.  Traced components are always kept
-    verbatim.  [costs] is a measured per-component cost model (as produced
-    by [Prof.cost_model]) used by {!Schedule}; omitted, a static flat-word
-    estimate is used. *)
+    verbatim. *)
 
 val run :
   ?level:level ->
   ?passes:pass list ->
   ?keep:string list ->
-  ?costs:(string * float) list ->
   Asim_analysis.Analysis.t ->
   Asim_analysis.Analysis.t
 (** [run_result] without the report. *)

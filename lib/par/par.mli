@@ -30,7 +30,7 @@
     exactly the error the flat engine would raise and leaving exactly its
     partial state; the machine stays sequential afterwards (re-stepping
     re-raises, like flat).  The differential oracle holds this engine to
-    cycle-for-cycle equality with the other eight.
+    cycle-for-cycle equality with the other engines.
 
     Domains come from one process-wide worker pool shared by all
     partitioned machines (the runtime caps total domains; machines are

@@ -230,12 +230,6 @@ let hot ?(top = 10) ?source t =
   |> List.stable_sort (fun a b -> compare b.r_cost a.r_cost)
   |> List.filteri (fun i _ -> i < top)
 
-let cost_model t =
-  rows t
-  |> List.filter_map (fun r ->
-         if r.r_kind = 'M' then None
-         else Some (r.r_name, float_of_int r.r_cost))
-
 let report ?(top = 10) ?source t =
   let b = Buffer.create 1024 in
   let all = rows ?source t in

@@ -120,14 +120,6 @@ val hot : ?top:int -> ?source:string -> t -> row list
 (** Rows sorted by descending [r_cost] (ties by slot), truncated to [top]
     (default 10). *)
 
-val cost_model : t -> (string * float) list
-(** The measured per-combinational-component cost model
-    ([evals x max 1 words], memories excluded) in the shape the partitioned
-    engine's balancer consumes (the [costs] of an [Asim] [`Par] engine,
-    [asim run --par-profile]): profile a spec under the flat engine once, then feed
-    the result back so partition loads reflect observed activity instead of
-    static program size. *)
-
 val report : ?top:int -> ?source:string -> t -> string
 (** Human-readable profile: run header, supernode scans per cycle (engines
     with supernodes), top-N hot components, sampled per-level timings and

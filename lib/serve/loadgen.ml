@@ -256,14 +256,6 @@ let scrape_hit_rate (cfg : config) =
                              | _ -> None)
                   | _ -> None)))
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else begin
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-  end
-
 let run (cfg : config) =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let connections = max 1 cfg.connections in
@@ -283,7 +275,7 @@ let run (cfg : config) =
     |> Array.of_list
   in
   Array.sort compare latencies;
-  let ms p = percentile latencies p *. 1000.0 in
+  let ms p = Asim_batch.Metrics.percentile latencies p *. 1000.0 in
   let ok = sum (fun t -> t.t_ok) in
   {
     connections;

@@ -333,7 +333,12 @@ let test_process_malformed_lines () =
     (contains (line 1) {|"line":2|} && contains (line 1) {|"status":"error"|});
   Alcotest.(check bool) "unknown field names its line" true
     (contains (line 2) {|"line":4|} && contains (line 2) "frobnicate");
-  Alcotest.(check bool) "good job after still ran" true (contains (line 3) {|"status":"ok"|})
+  Alcotest.(check bool) "good job after still ran" true (contains (line 3) {|"status":"ok"|});
+  (* The closure compiler without §4.4 is the "unoptimized" engine; the old
+     boolean field is as unknown as any other. *)
+  Alcotest.(check (result reject string))
+    "optimize field" (Error {|unknown field "optimize"|})
+    (Proto.job_of_json (Json.parse {|{"example":"counter","optimize":false}|}))
 
 let test_process_byte_identical_across_jobs () =
   let lines =
@@ -404,6 +409,28 @@ let test_summary_latencies () =
       feq "interp p99 ms (n<100)" 1000.0 b.Metrics.p99_ms
   | l -> Alcotest.failf "expected 2 engines, got %d" (List.length l)
 
+(* A long-lived server keeps only the most recent [Metrics.window]
+   latencies per engine: count and max still cover every job (the
+   histogram's), the percentiles only the window. *)
+let test_summary_window () =
+  let m = Metrics.create () in
+  let old = 1000 in
+  for _ = 1 to old do
+    Metrics.record m ~engine:"flat" ~status:`Ok ~elapsed:100.0
+  done;
+  for i = 1 to Metrics.window do
+    Metrics.record m ~engine:"flat" ~status:`Ok ~elapsed:(float_of_int i *. 1e-6)
+  done;
+  let cache = Cache.stats (Cache.create ~capacity:4 : unit Cache.t) in
+  match (Metrics.summarize m ~cache ~wall_s:1.0).Metrics.latencies with
+  | [ l ] ->
+      Alcotest.(check int) "count covers every job" (old + Metrics.window) l.Metrics.count;
+      feq "max covers every job" 100_000.0 l.Metrics.max_ms;
+      let rank p = ceil (p /. 100.0 *. float_of_int Metrics.window) *. 1e-3 in
+      Alcotest.(check (float 1e-6)) "p50 from the window" (rank 50.0) l.Metrics.p50_ms;
+      Alcotest.(check (float 1e-6)) "p99 from the window" (rank 99.0) l.Metrics.p99_ms
+  | l -> Alcotest.failf "expected 1 engine, got %d" (List.length l)
+
 let test_metrics_prometheus_names () =
   (* The live registry view follows the documented naming conventions. *)
   let m = Metrics.create () in
@@ -432,7 +459,7 @@ let test_process_cache_shared_across_engines () =
       [
         {|{"example":"stack-machine-sieve","engine":"compiled"}|};
         {|{"example":"stack-machine-sieve","engine":"flat"}|};
-        {|{"example":"stack-machine-sieve","engine":"compiled","optimize":false}|};
+        {|{"example":"stack-machine-sieve","engine":"unoptimized"}|};
         {|{"example":"stack-machine-sieve","engine":"flat"}|};
       ]
   in
@@ -660,6 +687,7 @@ let () =
           Alcotest.test_case "percentile edge cases" `Quick test_percentile_edge_cases;
           Alcotest.test_case "zero wall clock" `Quick test_summary_zero_wall;
           Alcotest.test_case "latency summary" `Quick test_summary_latencies;
+          Alcotest.test_case "latency window" `Quick test_summary_window;
           Alcotest.test_case "prometheus names" `Quick test_metrics_prometheus_names;
         ] );
     ]

@@ -1,13 +1,13 @@
 (* Tests specific to the flat-kernel engine ([Asim_flat.Flat]): cycle-level
-   differential checks against the closure compiler, the interpreter, the
-   lowered-IR evaluator and the partitioned engine at two domains on the
-   two big demo machines, activity-scheduling (dirty-bit) behavior on a
-   hand-built diamond dependency graph, supernode activity on designs of
-   several supernodes against engines without activity, the
-   zero-per-cycle-allocation
+   differential checks against the closure compiler, the interpreter and the
+   partitioned engine at two domains on the two big demo machines,
+   activity-scheduling (dirty-bit) behavior on a hand-built diamond
+   dependency graph, supernode activity on designs of several supernodes
+   against engines without activity, the zero-per-cycle-allocation
    guarantee, and the codegen spans.  The generic cross-engine semantics
    matrix lives in test_engines.ml / test_equiv.ml, which iterate over
-   [Oracle.all] and so cover the flat engine too. *)
+   [Oracle.all] and so cover the flat engine too; test_lower.ml checks
+   flat's expression emit exhaustively. *)
 
 module Machine = Asim.Machine
 module Flat = Asim.Flat
@@ -33,7 +33,6 @@ let lockstep name (spec : Asim.Spec.t) ~cycles =
       ("compiled", Asim.Compile.create ~config:quiet analysis);
       ("flat", Flat.create ~config:quiet ~schedule:Flat.Activity analysis);
       ("flat-full", Flat.create ~config:quiet ~schedule:Flat.Full analysis);
-      ("lowered", Asim_fuzz.Loweval.create ~config:quiet analysis);
       ("par", Asim.Par.create ~config:quiet ~domains:2 analysis);
     ]
   in
