@@ -56,34 +56,13 @@ let engine_arg_with default =
     & info [ "e"; "engine" ] ~docv:"ENGINE"
         ~doc:
           "Simulation engine: $(b,interp) (the ASIM baseline), $(b,compiled) \
-           (ASIM II) or $(b,unoptimized) (the same compiler without its \
-           §4.4 constant-operand optimizations), $(b,flat) (int-coded flat \
-           kernel with activity-driven scheduling) or $(b,flat-full) (the \
-           same kernel re-evaluating everything every cycle), $(b,native) \
-           (spec compiled to an OCaml module by the host toolchain and \
-           Dynlinked in; needs ocamlfind/ocamlopt on PATH) or $(b,par) (the \
-           flat kernel partitioned across domains and run \
-           bulk-synchronously; see $(b,--domains)).")
+           (ASIM II), $(b,flat) (int-coded flat kernel with activity-driven \
+           scheduling), $(b,native) (spec compiled to an OCaml module by the \
+           host toolchain and Dynlinked in; needs ocamlfind/ocamlopt on \
+           PATH) or $(b,par) (the flat kernel partitioned across domains and \
+           run bulk-synchronously; see $(b,--domains)).")
 
 let engine_arg = engine_arg_with `Compiled
-
-(* The one engine setting scripts and CI pass through the environment:
-   ASIM_PAR_DOMAINS (the partitioned engine's domain count).  Read here,
-   and only for the engine that uses it; an empty value counts as unset and
-   a malformed one exits 2. *)
-let env_settings (engine : Asim.engine) : Asim.engine =
-  match engine with
-  | `Par p -> (
-      match Option.map String.trim (Sys.getenv_opt "ASIM_PAR_DOMAINS") with
-      | None | Some "" -> engine
-      | Some s -> (
-          match int_of_string_opt s with
-          | Some domains when domains >= 1 -> `Par { p with Asim.domains }
-          | _ ->
-              Printf.eprintf
-                "asim: ASIM_PAR_DOMAINS must be a positive integer, got %S\n" s;
-              exit 2))
-  | e -> e
 
 let opt_level_conv =
   Arg.conv
@@ -283,7 +262,7 @@ let run_cmd =
     let engine =
       match (engine, domains) with
       | `Par p, Some domains -> `Par { p with Asim.domains }
-      | e, _ -> env_settings e
+      | e, _ -> e
     in
     let engine =
       match (engine, par_profile) with
@@ -459,10 +438,10 @@ let run_cmd =
       & opt (some int) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Partition count for the $(b,par) engine (default: \
-             $(b,ASIM_PAR_DOMAINS) when set, else the machine's core count, \
-             capped at 8).  Behavior is identical at every count — only the \
-             schedule changes.  Other engines ignore this.")
+            "Partition count for the $(b,par) engine (default: the \
+             machine's core count, capped at 8).  Behavior is identical at \
+             every count — only the schedule changes.  Other engines ignore \
+             this.")
   in
   let par_profile_arg =
     Arg.(
@@ -787,10 +766,9 @@ let profile_cmd =
           dirty-skips, memory traffic and a sampled per-level cycle \
           profile, with source positions and an estimated cost model.  \
           With $(b,-c NAME), the original occupancy-histogram mode \
-          instead.  Defaults to $(b,-e flat); $(b,-e flat-full) \
-          re-evaluates every component every cycle, so its evaluation \
-          counts match an interpreter recount exactly.  Unsupported on the \
-          $(b,native) and $(b,par) engines.")
+          instead.  Defaults to $(b,-e flat); $(b,-e compiled) and \
+          $(b,-e interp) evaluate every combinational component every \
+          cycle.  Unsupported on the $(b,native) and $(b,par) engines.")
     Term.(
       const run $ file_arg $ engine_arg_with `Flat $ cycles_arg $ components_arg
       $ top_arg $ sample_every_arg $ json_arg $ flame_arg $ trace_out_arg)
@@ -936,16 +914,8 @@ let wavediff_cmd =
 
 let fuzz_cmd =
   let run seed count start max_comb max_mem cycles wide engines artifacts
-      time_budget inject_bug print_specs no_shrink quiet fuzz_jobs trace_out opt =
+      time_budget print_specs no_shrink quiet fuzz_jobs trace_out opt =
     let size = { Asim_fuzz.Gen.max_comb; max_mem; cycles; wide } in
-    let engines =
-      List.map
-        (function
-          | #Asim.engine as e -> (env_settings e :> Asim_fuzz.Oracle.engine)
-          | e -> e)
-        engines
-    in
-    let engines = if inject_bug then engines @ [ `Buggy ] else engines in
     (match engines with
     | [] | [ _ ] ->
         prerr_endline "asim: fuzz needs at least two engines to compare";
@@ -1028,8 +998,11 @@ let fuzz_cmd =
           ~doc:
             "Comma-separated engines to compare (first is the reference): \
              any $(b,-e) engine of $(b,asim run), plus $(b,buggy) (a \
-             deliberately faulty compiler).  $(b,native) is dropped with a \
-             warning when no OCaml toolchain answers on PATH.")
+             deliberately faulty compiler: constant ALU add computes sub), \
+             which makes a campaign a self-test of the oracle and the \
+             shrinker.  $(b,par) runs at $(b,asim run)'s default domain \
+             count.  $(b,native) is dropped with a warning when no OCaml \
+             toolchain answers on PATH.")
   in
   let artifacts_arg =
     Arg.(
@@ -1044,15 +1017,6 @@ let fuzz_cmd =
       & opt (some float) None
       & info [ "time-budget" ] ~docv:"SECONDS"
           ~doc:"Stop starting new specs once this much wall-clock time has elapsed.")
-  in
-  let inject_bug_arg =
-    Arg.(
-      value & flag
-      & info [ "inject-bug" ]
-          ~doc:
-            "Add the deliberately faulty engine (constant ALU add computes \
-             sub) to the comparison set — a self-test that the oracle \
-             detects divergences and the shrinker minimizes them.")
   in
   let print_specs_arg =
     Arg.(
@@ -1085,7 +1049,7 @@ let fuzz_cmd =
     Term.(
       const run $ seed_arg $ count_arg $ start_arg $ max_components_arg
       $ max_memories_arg $ fuzz_cycles_arg $ wide_arg $ engines_arg
-      $ artifacts_arg $ time_budget_arg $ inject_bug_arg $ print_specs_arg
+      $ artifacts_arg $ time_budget_arg $ print_specs_arg
       $ no_shrink_arg $ quiet_arg $ fuzz_jobs_arg $ trace_out_arg $ opt_arg)
 
 (* --- batch / serve ----------------------------------------------------------- *)

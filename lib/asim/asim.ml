@@ -29,28 +29,23 @@ module Specs = Specs
 
 type par = { domains : int; costs : (string * float) list }
 
-type counting = [ `Interp | `Compiled | `Unoptimized | `Flat | `FlatFull ]
+type counting = [ `Interp | `Compiled | `Flat ]
 
 type engine = [ counting | `Native | `Par of par ]
 
 let engine_of_string s : engine option =
-  match String.lowercase_ascii s with
-  | "interp" | "interpreter" | "asim" -> Some `Interp
-  | "compiled" | "compile" | "asim2" | "asimii" -> Some `Compiled
-  | "unoptimized" | "unopt" -> Some `Unoptimized
-  | "flat" | "flat-kernel" | "flatkernel" -> Some `Flat
-  | "flat-full" | "flat_full" | "flatfull" -> Some `FlatFull
-  | "native" | "jit" -> Some `Native
-  | "par" | "bsp" | "partitioned" ->
-      Some (`Par { domains = Par.default_domains (); costs = [] })
+  match s with
+  | "interp" -> Some `Interp
+  | "compiled" -> Some `Compiled
+  | "flat" -> Some `Flat
+  | "native" -> Some `Native
+  | "par" -> Some (`Par { domains = Par.default_domains (); costs = [] })
   | _ -> None
 
 let engine_to_string = function
   | `Interp -> "interp"
   | `Compiled -> "compiled"
-  | `Unoptimized -> "unoptimized"
   | `Flat -> "flat"
-  | `FlatFull -> "flat-full"
   | `Native -> "native"
   | `Par _ -> "par"
 
@@ -62,9 +57,7 @@ let build_counting ?config ?tracer ?prof (engine : [< counting ]) analysis =
   match engine with
   | `Interp -> Interp.create ?config ?prof analysis
   | `Compiled -> Compile.create ?config ?prof analysis
-  | `Unoptimized -> Compile.create ?config ~optimize:false ?prof analysis
-  | `Flat -> Flat.create ?config ~schedule:Flat.Activity ?tracer ?prof analysis
-  | `FlatFull -> Flat.create ?config ~schedule:Flat.Full ?tracer ?prof analysis
+  | `Flat -> Flat.create ?config ?tracer ?prof analysis
 
 let machine ?config ?tracer ?(engine = `Compiled) analysis =
   match engine with

@@ -37,19 +37,17 @@ module Specs : module type of Specs
     shared by [asim run]'s [-e], batch and serve jobs and the fuzz oracle.
 
     [`Interp] is the ASIM baseline; [`Compiled] is the ASIM II contribution
-    ({!Compile}, §4.4 constant-operand optimizations on) and [`Unoptimized]
-    the same compiler with them off; [`Flat] is the int-coded flat program
-    with activity-driven scheduling ({!Flat}) and [`FlatFull] the same
-    kernel re-evaluating everything every cycle; [`Native] is the
-    Dynlink-JIT over the codegen backend ({!Jit} — needs an OCaml toolchain
-    on PATH); [`Par] is the flat kernel partitioned across [domains]
-    domains and run bulk-synchronously ({!Par}), its partitioner balancing
-    [costs] (a measured per-component cost model; [[]] means static
-    flat-program word counts). *)
+    ({!Compile}, §4.4 constant-operand optimizations on); [`Flat] is the
+    int-coded flat program with activity-driven scheduling ({!Flat});
+    [`Native] is the Dynlink-JIT over the codegen backend ({!Jit} — needs an
+    OCaml toolchain on PATH); [`Par] is the flat kernel partitioned across
+    [domains] domains and run bulk-synchronously ({!Par}), its partitioner
+    balancing [costs] (a measured per-component cost model; [[]] means
+    static flat-program word counts). *)
 
 type par = { domains : int; costs : (string * float) list }
 
-type counting = [ `Interp | `Compiled | `Unoptimized | `Flat | `FlatFull ]
+type counting = [ `Interp | `Compiled | `Flat ]
 (** The engines whose machines can carry a {!Prof} profile.  [`Native]'s
     generated plugin has no counters and [`Par]'s would race across
     domains. *)
@@ -57,16 +55,13 @@ type counting = [ `Interp | `Compiled | `Unoptimized | `Flat | `FlatFull ]
 type engine = [ counting | `Native | `Par of par ]
 
 val engine_of_string : string -> engine option
-(** ["interp"]/["interpreter"]/["asim"], ["compiled"]/["compile"]/["asim2"]/
-    ["asimii"], ["unoptimized"]/["unopt"], ["flat"]/["flat-kernel"]/
-    ["flatkernel"], ["flat-full"]/["flat_full"]/["flatfull"],
-    ["native"]/["jit"] and ["par"]/["bsp"]/["partitioned"]
-    (case-insensitive).  Settings take their built-in defaults:
-    {!Par.default_domains} with no cost model. *)
+(** Exactly the names {!engine_to_string} prints; anything else is [None].
+    Settings take their built-in defaults: {!Par.default_domains} with no
+    cost model. *)
 
 val engine_to_string : [< engine ] -> string
-(** The short [-e] spelling: ["interp"], ["compiled"], ["unoptimized"],
-    ["flat"], ["flat-full"], ["native"] or ["par"]. *)
+(** The [-e] name: ["interp"], ["compiled"], ["flat"], ["native"] or
+    ["par"]. *)
 
 val load_string : string -> Analysis.t
 (** Parse and analyze a specification source.  Raises {!Error.Error}. *)

@@ -73,7 +73,6 @@ let prof_to_json ?source (p : Asim.Prof.t) =
   Json.Obj
     [
       ("engine", Json.String p.engine);
-      ("schedule", Json.String p.schedule);
       ("cycles", Json.Int p.cycles);
       ("sample_every", Json.Int p.sample_every);
       ("sampled_cycles", Json.Int p.sampled_cycles);

@@ -391,6 +391,3 @@ let create ?(config = Machine.default_config) ?(optimize = true) ?prof
     current_cycle = (fun () -> !cycle);
     stats;
   }
-
-let of_spec ?config ?optimize spec =
-  create ?config ?optimize (Asim_analysis.Analysis.analyze spec)

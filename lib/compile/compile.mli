@@ -29,9 +29,3 @@ val create :
     [prof] attaches an {!Asim_prof.Prof} profile: each combinational thunk
     is wrapped with an evaluation counter and the I/O handler with a wait
     timer; without it the closure graph is built uninstrumented. *)
-
-val of_spec :
-  ?config:Asim_sim.Machine.config ->
-  ?optimize:bool ->
-  Asim_core.Spec.t ->
-  Asim_sim.Machine.t

@@ -1,10 +1,6 @@
 open Asim_core
 open Asim_sim
 
-type schedule = Activity | Full
-
-let schedule_to_string = function Activity -> "activity" | Full -> "full"
-
 (* --- the instruction set ------------------------------------------------ *)
 (* A flat program is one int array: an opcode word followed by its operands
    inline.  Evaluation threads three registers through a tail-recursive
@@ -79,22 +75,24 @@ let resolve ids (expr : Expr.t) =
     (0, []) (Lower.lower expr)
 
 (* Emit-time rewrite: fuse adjacent term loads of the same source with the
-   same placement shift and disjoint masks into one masked load.  The classic
-   producer is a concatenation reassembling neighboring fields of one
-   register ([x<7:4> & x<3:0>]): both atoms land at the same shift with
-   disjoint masks, so [(v land m1) <<s + (v land m2) <<s] equals
-   [(v land (m1 lor m2)) <<s] — for a left shift because the sum of disjoint
-   parts is their union, and for a right shift because disjointness survives
-   the shift, so no carries and no truncated cross-talk in either direction.
-   Whole-word references (mask -1) never fuse: their implicit mask is not
-   disjoint from anything.  The optimizer leaves traced and kept components
-   verbatim, so this still fires at -O2. *)
+   same placement shift into one masked load.  The classic producer is a
+   concatenation reassembling neighboring fields of one register
+   ([x<7:4> & x<3:0>]): both atoms land at the same shift, so
+   [(v land m1) <<s + (v land m2) <<s] becomes [(v land (m1 lor m2)) <<s].
+   [Lower.lower]'s output makes that safe without testing the masks.  Its
+   atoms occupy disjoint bits of the result, and a field's source bits are
+   its result bits moved by its shift, so two fields with equal shifts have
+   disjoint masks: the sum of the parts is their union, with no carries, and
+   disjointness survives a right shift.  A whole-word term (mask -1) is
+   always the leftmost atom, above every field, so its shift [at] exceeds
+   every field's [at - lo] and it never fuses.  test_lower runs this on
+   every expression of 1–3 atoms.  The optimizer leaves traced and kept
+   components verbatim, so this still fires at -O2. *)
 let fuse_terms terms =
   let rec go = function
     | ({ t_src = s1; t_mask = m1; t_shift = sh1 } as a)
       :: ({ t_src = s2; t_mask = m2; t_shift = sh2 } :: rest as tail) ->
-        if s1 = s2 && sh1 = sh2 && m1 >= 0 && m2 >= 0 && m1 land m2 = 0 then
-          go ({ a with t_mask = m1 lor m2 } :: rest)
+        if s1 = s2 && sh1 = sh2 then go ({ a with t_mask = m1 lor m2 } :: rest)
         else a :: go tail
     | terms -> terms
   in
@@ -417,18 +415,13 @@ let make_exec (p : program) ~(vals : int array) ~(cycle : int ref) =
 
 (* --- the machine -------------------------------------------------------- *)
 
-let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
+let create_debug ?(config = Machine.default_config)
     ?(tracer = Asim_obs.Tracer.null) ?prof
     (analysis : Asim_analysis.Analysis.t) =
   let module Prof = Asim_prof.Prof in
   let module A = Asim_analysis.Analysis in
   let module T = Asim_obs.Tracer in
-  let p =
-    T.span tracer
-      ~args:[ ("schedule", schedule_to_string schedule) ]
-      "codegen.flat.emit"
-      (fun () -> compile ~tracer analysis)
-  in
+  let p = T.span tracer "codegen.flat.emit" (fun () -> compile ~tracer analysis) in
   let code = p.p_code in
   let names = p.p_names in
   let ncomp = Array.length names in
@@ -468,7 +461,6 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
   | Some pr ->
       Prof.attach_stats pr stats;
       pr.Prof.engine <- "flat";
-      pr.Prof.schedule <- schedule_to_string schedule;
       (* Static cost model: flat-program words per component.  Blocks are
          laid out combinational (evaluation order) then memories
          (declaration order), so each block ends where the next begins. *)
@@ -562,22 +554,6 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
   in
   let evals = Array.make (max 1 ncomb) 0 in
   let exec = make_exec p ~vals ~cycle in
-  let activity = match schedule with Activity -> true | Full -> false in
-  let comb_full () =
-    for i = 0 to ncomb - 1 do
-      let id = Array.unsafe_get comb_id i in
-      let v = exec (Array.unsafe_get comb_entry i) 0 0 0 in
-      Array.unsafe_set evals i (Array.unsafe_get evals i + 1);
-      let v =
-        if Bytes.unsafe_get comb_fault i = '\000' then v
-        else
-          Fault.apply faults ~cycle:!cycle
-            ~component:(Array.unsafe_get names id)
-            v
-      in
-      Array.unsafe_set vals id v
-    done
-  in
   let comb_activity () =
     for s = 0 to nsuper - 1 do
       if Bytes.unsafe_get active s <> '\000' then begin
@@ -607,66 +583,6 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
         done;
         (* Reset only after the scan returns, for the same reason; a mark
            into this supernode during its own scan was consumed by it. *)
-        Bytes.unsafe_set active s (Bytes.unsafe_get pinned s)
-      end
-    done
-  in
-  (* Instrumented twins of the two loops above.  One preallocated-array
-     increment per evaluation, slot-indexed (it replaces the
-     position-indexed [evals] bump, so the per-eval work is unchanged), and
-     one per scanned supernode; fault triggers count only when the injected
-     fault actually perturbed the value.  Dirty skips are not counted here —
-     every combinational position is considered exactly once per cycle, so
-     [Prof.finalize] derives them as [cycles - evals]. *)
-  let comb_full_prof (pr : Prof.t) pe () =
-    pr.Prof.supernode_scans <- pr.Prof.supernode_scans + nsuper;
-    for i = 0 to ncomb - 1 do
-      let id = Array.unsafe_get comb_id i in
-      let v = exec (Array.unsafe_get comb_entry i) 0 0 0 in
-      Array.unsafe_set pe id (Array.unsafe_get pe id + 1);
-      let v =
-        if Bytes.unsafe_get comb_fault i = '\000' then v
-        else begin
-          let v' =
-            Fault.apply faults ~cycle:!cycle
-              ~component:(Array.unsafe_get names id)
-              v
-          in
-          if v' <> v then count_fault id;
-          v'
-        end
-      in
-      Array.unsafe_set vals id v
-    done
-  in
-  let comb_activity_prof (pr : Prof.t) pe () =
-    for s = 0 to nsuper - 1 do
-      if Bytes.unsafe_get active s <> '\000' then begin
-        pr.Prof.supernode_scans <- pr.Prof.supernode_scans + 1;
-        for i = s * A.supernode_size to last s do
-          if Bytes.unsafe_get dirty i <> '\000' then begin
-            let id = Array.unsafe_get comb_id i in
-            let v = exec (Array.unsafe_get comb_entry i) 0 0 0 in
-            Bytes.unsafe_set dirty i (Bytes.unsafe_get comb_fault i);
-            Array.unsafe_set pe id (Array.unsafe_get pe id + 1);
-            let v =
-              if Bytes.unsafe_get comb_fault i = '\000' then v
-              else begin
-                let v' =
-                  Fault.apply faults ~cycle:!cycle
-                    ~component:(Array.unsafe_get names id)
-                    v
-                in
-                if v' <> v then count_fault id;
-                v'
-              end
-            in
-            if Array.unsafe_get vals id <> v then begin
-              Array.unsafe_set vals id v;
-              wake id
-            end
-          end
-        done;
         Bytes.unsafe_set active s (Bytes.unsafe_get pinned s)
       end
     done
@@ -721,7 +637,7 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
        if v <> before then count_fault id;
        Array.unsafe_set vals id v
      end);
-    if activity && Array.unsafe_get vals id <> old then wake id
+    if Array.unsafe_get vals id <> old then wake id
   in
   let traced =
     Spec.traced_names analysis.Asim_analysis.Analysis.spec
@@ -735,9 +651,8 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
         (Trace.cycle_line ~cycle:!cycle
            (Array.to_list (Array.map (fun (name, id) -> (name, vals.(id))) traced)))
   in
-  let do_comb = if activity then comb_activity else comb_full in
   let step () =
-    do_comb ();
+    comb_activity ();
     emit_cycle_line ();
     for k = 0 to nmem - 1 do
       snap k
@@ -754,8 +669,50 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
     | Some pr ->
         pr.Prof.supernodes <- nsuper;
         let pe = pr.Prof.evals in
-        let do_comb_prof =
-          if activity then comb_activity_prof pr pe else comb_full_prof pr pe
+        (* The instrumented visit of one combinational position, shared by
+           the profiled scan and the sampled pass below.  One
+           preallocated-array increment per evaluation, slot-indexed (it
+           replaces the position-indexed [evals] bump, so the per-eval work
+           is unchanged); fault triggers count only when the injected fault
+           actually perturbed the value.  Dirty skips are not counted here —
+           every combinational position is considered exactly once per
+           cycle, so [Prof.finalize] derives them as [cycles - evals]. *)
+        let[@inline] eval_pos i =
+          if Bytes.unsafe_get dirty i <> '\000' then begin
+            let id = Array.unsafe_get comb_id i in
+            let v = exec (Array.unsafe_get comb_entry i) 0 0 0 in
+            Bytes.unsafe_set dirty i (Bytes.unsafe_get comb_fault i);
+            Array.unsafe_set pe id (Array.unsafe_get pe id + 1);
+            let v =
+              if Bytes.unsafe_get comb_fault i = '\000' then v
+              else begin
+                let v' =
+                  Fault.apply faults ~cycle:!cycle
+                    ~component:(Array.unsafe_get names id)
+                    v
+                in
+                if v' <> v then count_fault id;
+                v'
+              end
+            in
+            if Array.unsafe_get vals id <> v then begin
+              Array.unsafe_set vals id v;
+              wake id
+            end
+          end
+        in
+        (* [comb_activity] with [eval_pos] for its body, plus one counter
+           bump per scanned supernode. *)
+        let comb_prof () =
+          for s = 0 to nsuper - 1 do
+            if Bytes.unsafe_get active s <> '\000' then begin
+              pr.Prof.supernode_scans <- pr.Prof.supernode_scans + 1;
+              for i = s * A.supernode_size to last s do
+                eval_pos i
+              done;
+              Bytes.unsafe_set active s (Bytes.unsafe_get pinned s)
+            end
+          done
         in
         (* Sampled cycle profiler.  Every [sample_every]-th cycle the
            combinational wave is evaluated level by level with a clock read
@@ -782,34 +739,6 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
         for l = 0 to nlev - 1 do
           level_start.(l + 1) <- level_start.(l + 1) + level_start.(l)
         done;
-        let eval_pos i =
-          if (not activity) || Bytes.unsafe_get dirty i <> '\000' then begin
-            let id = Array.unsafe_get comb_id i in
-            let v = exec (Array.unsafe_get comb_entry i) 0 0 0 in
-            if activity then
-              Bytes.unsafe_set dirty i (Bytes.unsafe_get comb_fault i);
-            Array.unsafe_set pe id (Array.unsafe_get pe id + 1);
-            let v =
-              if Bytes.unsafe_get comb_fault i = '\000' then v
-              else begin
-                let v' =
-                  Fault.apply faults ~cycle:!cycle
-                    ~component:(Array.unsafe_get names id)
-                    v
-                in
-                if v' <> v then count_fault id;
-                v'
-              end
-            in
-            if activity then begin
-              if Array.unsafe_get vals id <> v then begin
-                Array.unsafe_set vals id v;
-                wake id
-              end
-            end
-            else Array.unsafe_set vals id v
-          end
-        in
         let level_ns = pr.Prof.level_ns in
         let comb_sampled () =
           for l = 0 to nlev - 1 do
@@ -820,14 +749,12 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
             level_ns.(l) <-
               level_ns.(l) +. ((Asim_obs.Clock.now () -. t0) *. 1e9)
           done;
-          if activity then
-            for s = 0 to nsuper - 1 do
-              if Bytes.unsafe_get active s <> '\000' then begin
-                pr.Prof.supernode_scans <- pr.Prof.supernode_scans + 1;
-                Bytes.unsafe_set active s (Bytes.unsafe_get pinned s)
-              end
-            done
-          else pr.Prof.supernode_scans <- pr.Prof.supernode_scans + nsuper
+          for s = 0 to nsuper - 1 do
+            if Bytes.unsafe_get active s <> '\000' then begin
+              pr.Prof.supernode_scans <- pr.Prof.supernode_scans + 1;
+              Bytes.unsafe_set active s (Bytes.unsafe_get pinned s)
+            end
+          done
         in
         let sample_every = pr.Prof.sample_every in
         let togo = ref 1 in
@@ -852,7 +779,7 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
             pr.Prof.sampled_cycles <- pr.Prof.sampled_cycles + 1
           end
           else begin
-            do_comb_prof ();
+            comb_prof ();
             emit_cycle_line ();
             for k = 0 to nmem - 1 do
               snap k
@@ -904,5 +831,5 @@ let create_debug ?(config = Machine.default_config) ?(schedule = Activity)
   in
   (machine, counts)
 
-let create ?config ?schedule ?tracer ?prof analysis =
-  fst (create_debug ?config ?schedule ?tracer ?prof analysis)
+let create ?config ?tracer ?prof analysis =
+  fst (create_debug ?config ?tracer ?prof analysis)

@@ -15,12 +15,11 @@
     program is emitted) and zero per-cycle heap allocation when tracing and
     I/O are quiet.
 
-    {b Activity-driven scheduling.}  With [~schedule:Activity] (the
-    default), each combinational component carries a dirty byte seeded
-    from the specification's dependency graph.  A cycle only re-evaluates
-    the combinational cone downstream of registers, memories and inputs
-    whose {e values} actually changed; a producer whose output is
-    recomputed but equal wakes nobody.  Activity has a second level: each
+    {b Activity-driven scheduling.}  Each combinational component carries
+    a dirty byte seeded from the specification's dependency graph.  A
+    cycle only re-evaluates the combinational cone downstream of
+    registers, memories and inputs whose {e values} actually changed; a
+    producer whose output is recomputed but equal wakes nobody.  Activity has a second level: each
     supernode ({!Asim_analysis.Analysis.supernode_size} components in
     evaluation order, the native engine's chunk) carries an active byte
     that every wake-up of one of its components sets, and the scan skips
@@ -29,25 +28,15 @@
     returns, so a selector error re-raises when the machine is stepped
     again.  Memories always latch (they are sequential), and fault-injected
     components are pinned permanently dirty, their supernodes permanently
-    active, so cycle-windowed faults keep firing.  [~schedule:Full]
-    re-evaluates everything every cycle — the ablation baseline, the
-    [flat-full] engine.
+    active, so cycle-windowed faults keep firing.
 
     The result is observationally identical to [Asim_interp] and
     [Asim_compile] (the differential-fuzz oracle enforces this): same
     per-cycle outputs, traces, I/O events, statistics, runtime errors and
     fault behavior. *)
 
-(** Combinational evaluation policy. *)
-type schedule =
-  | Activity  (** dirty-bit scheduling: skip quiescent logic (default) *)
-  | Full  (** re-evaluate every component every cycle (ablation baseline) *)
-
-val schedule_to_string : schedule -> string
-
 val create :
   ?config:Asim_sim.Machine.config ->
-  ?schedule:schedule ->
   ?tracer:Asim_obs.Tracer.t ->
   ?prof:Asim_prof.Prof.t ->
   Asim_analysis.Analysis.t ->
@@ -78,17 +67,15 @@ val create :
 
 val create_debug :
   ?config:Asim_sim.Machine.config ->
-  ?schedule:schedule ->
   ?tracer:Asim_obs.Tracer.t ->
   ?prof:Asim_prof.Prof.t ->
   Asim_analysis.Analysis.t ->
   Asim_sim.Machine.t * (unit -> (string * int) list)
 (** Like {!create}, but also returns an inspection function giving the
     number of times each combinational component has actually been
-    evaluated (in evaluation order).  Under [Activity] scheduling the
-    counts expose which parts of the design were quiescent; under [Full]
-    every count equals the cycle count.  For tests and the benchmark
-    suite's [flat.skip_rate] metric. *)
+    evaluated (in evaluation order), which exposes the parts of the design
+    that were quiescent.  For tests and the benchmark suite's
+    [flat.skip_rate] metric. *)
 
 (** {1 Compiled-program internals}
 

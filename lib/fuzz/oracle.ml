@@ -4,7 +4,7 @@ open Asim_sim
 type engine = [ Asim.engine | `Buggy ]
 
 let engine_of_string s : engine option =
-  match String.lowercase_ascii s with
+  match s with
   | "buggy" -> Some `Buggy
   | s -> (Asim.engine_of_string s :> engine option)
 
@@ -13,7 +13,7 @@ let engine_of_string s : engine option =
 let all =
   List.map
     (fun name -> Option.get (engine_of_string name))
-    [ "interp"; "compiled"; "unoptimized"; "flat"; "flat-full"; "par"; "native" ]
+    [ "interp"; "compiled"; "flat"; "par"; "native" ]
 
 (* [`Native] shells out to the host toolchain; a campaign on a box without
    one should drop the engine (with a warning) rather than abort. *)
@@ -26,8 +26,8 @@ let available : engine -> bool = function
    a middle-end miscompile shows up as a divergence instead of agreeing with
    itself on both sides. *)
 let optimized_class : engine -> bool = function
-  | `Flat | `FlatFull | `Par _ | `Native -> true
-  | `Interp | `Compiled | `Unoptimized | `Buggy -> false
+  | `Flat | `Par _ | `Native -> true
+  | `Interp | `Compiled | `Buggy -> false
 
 let engine_to_string : engine -> string = function
   | `Buggy -> "buggy"

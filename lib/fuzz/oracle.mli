@@ -13,9 +13,8 @@ type engine = [ Asim.engine | `Buggy ]
     engine for exercising the oracle and shrinker end to end. *)
 
 val all : engine list
-(** The seven honest engines: [`Interp] (the reference), [`Compiled],
-    [`Unoptimized], [`Flat], [`FlatFull], [`Par] (at
-    {!Asim.Par.default_domains}) and [`Native]. *)
+(** The five honest engines: [`Interp] (the reference), [`Compiled],
+    [`Flat], [`Par] (at {!Asim.Par.default_domains}) and [`Native]. *)
 
 val available : engine -> bool
 (** Whether the engine can run here at all.  Only [`Native] can be
@@ -58,9 +57,9 @@ val observe :
 (** Run [spec] on one engine for [cycles] (default: the spec's [= N]
     directive, else 20), recording all observables.  A runtime error stops
     the run and is recorded, not raised.  With [opt] above [O0] the
-    optimized-class engines (flat, flat-full, par, native) consume
-    the [Asim_opt.Opt.run] rewrite while the reference class (interp,
-    compiled, unoptimized, buggy) stays on the raw spec — a
+    optimized-class engines (flat, par, native) consume the
+    [Asim_opt.Opt.run] rewrite while the reference class (interp,
+    compiled, buggy) stays on the raw spec — a
     middle-end miscompile therefore surfaces as a divergence.  Components
     stubbed by dead-component elimination are masked to 0 in the snapshots
     and final outputs of {e every} engine so DCE itself is not reported. *)

@@ -287,7 +287,7 @@ let create ?(config = Machine.default_config) ?prof
   | None -> ()
   | Some p ->
       Asim_prof.Prof.attach_stats p st.stats;
-      p.Asim_prof.Prof.engine <- "interpreter");
+      p.Asim_prof.Prof.engine <- "interp");
   let memory_by_name name =
     match List.find_opt (fun ms -> String.equal ms.m_name name) st.memories with
     | Some ms -> ms
@@ -314,5 +314,3 @@ let create ?(config = Machine.default_config) ?prof
     current_cycle = (fun () -> st.cycle);
     stats = st.stats;
   }
-
-let of_spec ?config spec = create ?config (Asim_analysis.Analysis.analyze spec)

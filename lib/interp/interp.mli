@@ -20,8 +20,5 @@ val create :
     {!Asim_prof.Prof} profile (per-component evaluation and fault
     counters; memory traffic is finalized from the machine statistics).
     This engine re-evaluates every combinational component every cycle, so
-    a profiled interpreter run is the independent recount the flat
-    kernel's counters are cross-checked against. *)
-
-val of_spec : ?config:Asim_sim.Machine.config -> Asim_core.Spec.t -> Asim_sim.Machine.t
-(** [create] after [Asim_analysis.Analysis.analyze]. *)
+    a profiled interpreter run is the independent recount the closure
+    compiler's counters are cross-checked against. *)

@@ -850,6 +850,3 @@ let create ?(config = Machine.default_config) ?(tracer = Tracer.null) ?cache_dir
     current_cycle = (fun () -> !cycle);
     stats;
   }
-
-let of_spec ?config ?tracer ?cache_dir spec =
-  create ?config ?tracer ?cache_dir (Analysis.analyze spec)

@@ -62,10 +62,3 @@ val create :
     domain) share one build, builds of different specs proceed side by
     side, Dynlink itself is serialized, and the on-disk lock file keeps the
     guarantee across processes. *)
-
-val of_spec :
-  ?config:Asim_sim.Machine.config ->
-  ?tracer:Asim_obs.Tracer.t ->
-  ?cache_dir:string ->
-  Asim_core.Spec.t ->
-  Asim_sim.Machine.t

@@ -31,7 +31,6 @@ type t = {
   mutable supernodes : int;
   mutable supernode_scans : int;
   mutable engine : string;
-  mutable schedule : string;
   mutable stats : Stats.t option;
 }
 
@@ -113,7 +112,6 @@ let create ?(sample_every = 256) (analysis : Analysis.t) =
     supernodes = 0;
     supernode_scans = 0;
     engine = "";
-    schedule = "";
     stats = None;
   }
 
@@ -235,9 +233,8 @@ let report ?(top = 10) ?source t =
   let all = rows ?source t in
   let total_cost = List.fold_left (fun acc r -> acc + r.r_cost) 0 all in
   Printf.bprintf b
-    "profile: engine=%s schedule=%s cycles=%d sampled=%d (every %d)\n"
+    "profile: engine=%s cycles=%d sampled=%d (every %d)\n"
     (if t.engine = "" then "?" else t.engine)
-    (if t.schedule = "" then "-" else t.schedule)
     t.cycles t.sampled_cycles t.sample_every;
   if t.supernodes > 0 then
     Printf.bprintf b "supernodes: %d, scanned %.2f per cycle\n" t.supernodes

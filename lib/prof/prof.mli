@@ -60,11 +60,9 @@ type t = {
       (** the flat kernel's supernodes ({!Asim_analysis.Analysis.supernode_size}
           combinational components each); 0 under engines without them *)
   mutable supernode_scans : int;
-      (** supernodes whose components were scanned: under activity
-          scheduling one per supernode found active, under the full schedule
-          every supernode every cycle *)
+      (** supernodes whose components were scanned: one per supernode
+          found active in a cycle *)
   mutable engine : string;
-  mutable schedule : string;
   mutable stats : Asim_sim.Stats.t option;
       (** engine statistics, source of the per-memory counters *)
 }

@@ -334,11 +334,25 @@ let test_process_malformed_lines () =
   Alcotest.(check bool) "unknown field names its line" true
     (contains (line 2) {|"line":4|} && contains (line 2) "frobnicate");
   Alcotest.(check bool) "good job after still ran" true (contains (line 3) {|"status":"ok"|});
-  (* The closure compiler without §4.4 is the "unoptimized" engine; the old
-     boolean field is as unknown as any other. *)
+  (* The old boolean field that turned §4.4 off is as unknown as any
+     other. *)
   Alcotest.(check (result reject string))
     "optimize field" (Error {|unknown field "optimize"|})
-    (Proto.job_of_json (Json.parse {|{"example":"counter","optimize":false}|}))
+    (Proto.job_of_json (Json.parse {|{"example":"counter","optimize":false}|}));
+  (* Each engine has one name: the deleted engines and the old aliases get
+     the unknown-engine error. *)
+  let removed = [ "flat-full"; "unoptimized"; "jit"; "tiered" ] in
+  let out, _ =
+    drive ~jobs:1
+      (List.map (Printf.sprintf {|{"example":"counter","engine":"%s"}|}) removed)
+  in
+  Alcotest.(check int) "one reply per removed engine" (List.length removed)
+    (List.length out);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) l true
+        (contains l {|"status":"error"|} && contains l "unknown engine"))
+    out
 
 let test_process_byte_identical_across_jobs () =
   let lines =
@@ -451,15 +465,14 @@ let test_metrics_prometheus_names () =
     ]
 
 (* The cache holds the analysis, which no engine choice changes: the same
-   spec on compiled, flat and compiled without the §4.4 optimizations is
-   one entry. *)
+   spec on compiled, flat and interp is one entry. *)
 let test_process_cache_shared_across_engines () =
   let out, { Metrics.cache = s; _ } =
     drive ~jobs:1
       [
         {|{"example":"stack-machine-sieve","engine":"compiled"}|};
         {|{"example":"stack-machine-sieve","engine":"flat"}|};
-        {|{"example":"stack-machine-sieve","engine":"unoptimized"}|};
+        {|{"example":"stack-machine-sieve","engine":"interp"}|};
         {|{"example":"stack-machine-sieve","engine":"flat"}|};
       ]
   in

@@ -113,21 +113,23 @@ let test_run_engines_agree () =
       Alcotest.(check string) "same trace" interp compiled;
       Alcotest.(check string) "flat trace" interp flat)
 
-(* The two ablation engines are real -e names: the closure compiler without
-   its §4.4 optimizations and the flat kernel without activity scheduling
-   trace the sieve exactly like their optimized forms. *)
-let test_run_ablation_engines () =
-  with_spec Asim.Specs.stack_machine_sieve (fun path ->
-      let trace engine =
-        let code, text =
-          run_cli (Printf.sprintf "run %s -e %s" (Filename.quote path) engine)
-        in
-        if code <> 0 then Alcotest.failf "-e %s: exit %d:\n%s" engine code text;
-        text
-      in
-      Alcotest.(check string) "unoptimized = compiled" (trace "compiled")
-        (trace "unoptimized");
-      Alcotest.(check string) "flat-full = flat" (trace "flat") (trace "flat-full"))
+(* Each engine has one name: the deleted ablation engines and the old
+   aliases are usage errors (cmdliner's exit 124), on run and fuzz alike, and
+   so is the deleted --inject-bug (--engines ...,buggy adds that engine). *)
+let test_removed_engine_names () =
+  with_spec counter (fun path ->
+      List.iter
+        (fun (args, what) ->
+          let code, text = run_cli args in
+          Alcotest.(check int) (args ^ " exit") 124 code;
+          Alcotest.(check bool) (args ^ " says why") true (contains text what))
+        [
+          (Printf.sprintf "run %s -e flat-full" (Filename.quote path), "unknown engine");
+          (Printf.sprintf "run %s -e unoptimized" (Filename.quote path), "unknown engine");
+          (Printf.sprintf "run %s -e jit" (Filename.quote path), "unknown engine");
+          ("fuzz --engines interp,flat-full -q", "unknown engine");
+          ("fuzz --inject-bug -q", "unknown option");
+        ])
 
 let test_run_fault () =
   with_spec counter (fun path ->
@@ -259,10 +261,10 @@ let test_profile_counters () =
                 (str "name", num "evals"))
               comps
       in
-      let flat_full = evals_of "-e flat-full" in
+      let compiled = evals_of "-e compiled" in
       let interp = evals_of "-e interp" in
       Alcotest.(check (list (pair string int)))
-        "flat(full) evals match interp recount" interp flat_full)
+        "compiled evals match interp recount" interp compiled)
 
 (* Engines without counters refuse --profile at run time, with the reason,
    before simulating anything. *)
@@ -360,6 +362,9 @@ let test_fuzz_replay_deterministic () =
              (Printf.sprintf "replayed line %S appears in the sequence" line)
              true (contains a line))
 
+(* The honest engines that need no toolchain, plus the planted-bug one. *)
+let with_buggy = "interp,compiled,flat,par,buggy"
+
 let test_fuzz_divergence_bundle () =
   (* The fault-injected engine forces a divergence; the campaign must report
      it, exit non-zero, and emit a shrunk reproducer bundle. *)
@@ -370,8 +375,9 @@ let test_fuzz_divergence_bundle () =
     (fun () ->
       let code, text =
         run_cli
-          (Printf.sprintf "fuzz --seed 42 --count 60 --inject-bug --artifacts-dir %s -q"
-             (Filename.quote dir))
+          (Printf.sprintf
+             "fuzz --seed 42 --count 60 --engines %s --artifacts-dir %s -q"
+             with_buggy (Filename.quote dir))
       in
       Alcotest.(check int) "divergence exits 1" 1 code;
       Alcotest.(check bool) "names the buggy engine" true (contains text "buggy");
@@ -469,8 +475,9 @@ let test_fuzz_jobs_deterministic () =
   Alcotest.(check int) "sequential exit" 0 code_seq;
   Alcotest.(check int) "parallel exit" 0 code_par;
   Alcotest.(check (list string)) "identical output" (strip seq) (strip par);
-  let code_bug_seq, bug_seq = run_cli "fuzz --seed 42 --count 60 --inject-bug -q" in
-  let code_bug_par, bug_par = run_cli "fuzz --seed 42 --count 60 --inject-bug -q --jobs 3" in
+  let bug = "fuzz --seed 42 --count 60 -q --engines " ^ with_buggy in
+  let code_bug_seq, bug_seq = run_cli bug in
+  let code_bug_par, bug_par = run_cli (bug ^ " --jobs 3") in
   Alcotest.(check int) "sequential divergence exit" 1 code_bug_seq;
   Alcotest.(check int) "parallel divergence exit" 1 code_bug_par;
   Alcotest.(check (list string)) "identical divergence reports" (strip bug_seq)
@@ -721,17 +728,6 @@ let test_generated_address_check () =
 
 (* --- the partitioned engine and its workload generator ---------------------- *)
 
-(* The engine setting read from the environment is checked where it is
-   read: a malformed value is a usage error naming the variable. *)
-let test_malformed_engine_env () =
-  with_spec counter (fun path ->
-      let code, text =
-        run_cli ~env:"ASIM_PAR_DOMAINS=sideways"
-          (Printf.sprintf "run %s -e par" (Filename.quote path))
-      in
-      Alcotest.(check int) "exit" 2 code;
-      Alcotest.(check bool) "named" true (contains text "ASIM_PAR_DOMAINS"))
-
 (* `asim genspec` is byte-deterministic for a fixed seed, reports its shape,
    and its output runs under `-e par` in lockstep with the flat engine (the
    CLI face of the library-level tests in test_par.ml). *)
@@ -801,7 +797,8 @@ let () =
           Alcotest.test_case "run trace" `Quick test_run_trace;
           Alcotest.test_case "run stats" `Quick test_run_stats;
           Alcotest.test_case "engines agree" `Quick test_run_engines_agree;
-          Alcotest.test_case "ablation engines" `Quick test_run_ablation_engines;
+          Alcotest.test_case "removed engine names are usage errors" `Quick
+            test_removed_engine_names;
           Alcotest.test_case "fault injection" `Quick test_run_fault;
           Alcotest.test_case "vcd output" `Quick test_run_vcd;
           Alcotest.test_case "check" `Quick test_check;
@@ -835,7 +832,6 @@ let () =
           Alcotest.test_case "batch trace" `Quick test_batch_trace;
           Alcotest.test_case "fuzz trace" `Quick test_fuzz_trace;
           Alcotest.test_case "serve metrics request" `Quick test_serve_metrics_request;
-          Alcotest.test_case "malformed engine env" `Quick test_malformed_engine_env;
           Alcotest.test_case "console input is one stream" `Quick test_console_one_stream;
           Alcotest.test_case "native artifact cache cannot be created" `Quick
             test_native_cache_dir_error;

@@ -1,9 +1,10 @@
 (* Tests specific to the flat-kernel engine ([Asim_flat.Flat]): cycle-level
-   differential checks against the closure compiler, the interpreter and the
-   partitioned engine at two domains on the two big demo machines,
+   differential checks against the interpreter, the closure compiler with
+   and without its §4.4 optimizations and the partitioned engine at two
+   domains on the two big demo machines,
    activity-scheduling (dirty-bit) behavior on a hand-built diamond
    dependency graph, supernode activity on designs of several supernodes
-   against engines without activity, the zero-per-cycle-allocation
+   against the closure compiler, the zero-per-cycle-allocation
    guarantee, and the codegen spans.  The generic cross-engine semantics
    matrix lives in test_engines.ml / test_equiv.ml, which iterate over
    [Oracle.all] and so cover the flat engine too; test_lower.ml checks
@@ -20,7 +21,9 @@ let quiet = Machine.quiet_config
 (* ------------------------------------------------------------------ *)
 
 (* Step [cycles] cycles with all engines in lockstep; after every cycle every
-   component output must agree, and at the end the memory images must too. *)
+   component output must agree, and at the end the memory images must too.
+   The closure compiler without §4.4 is bench/main.ml's ablation baseline;
+   this is where it stays checked. *)
 let lockstep name (spec : Asim.Spec.t) ~cycles =
   let analysis = Asim.Analysis.analyze spec in
   let names =
@@ -31,8 +34,8 @@ let lockstep name (spec : Asim.Spec.t) ~cycles =
     [
       ("interp", Asim.Interp.create ~config:quiet analysis);
       ("compiled", Asim.Compile.create ~config:quiet analysis);
-      ("flat", Flat.create ~config:quiet ~schedule:Flat.Activity analysis);
-      ("flat-full", Flat.create ~config:quiet ~schedule:Flat.Full analysis);
+      ("compiled, optimize off", Asim.Compile.create ~config:quiet ~optimize:false analysis);
+      ("flat", Flat.create ~config:quiet analysis);
       ("par", Asim.Par.create ~config:quiet ~domains:2 analysis);
     ]
   in
@@ -85,12 +88,11 @@ let test_lockstep_tinyc () =
 (* ------------------------------------------------------------------ *)
 
 (* A small deterministic sweep of generated specs through [Oracle.check]
-   with the default engine list, which now includes [Flat] and [FlatFull].
-   The full QCheck campaign lives in test_equiv.ml; this pins the flat
-   engine's membership in the oracle regardless of that suite's config. *)
+   with the default engine list, which includes [Flat].  The full QCheck
+   campaign lives in test_equiv.ml; this pins the flat engine's membership
+   in the oracle regardless of that suite's config. *)
 let test_oracle_generated () =
   assert (List.mem `Flat Oracle.all);
-  assert (List.mem `FlatFull Oracle.all);
   for index = 0 to 19 do
     let spec = Asim_fuzz.Gen.(spec_at default_size) ~seed:0xf1a7 ~index in
     match Oracle.check ~cycles:40 spec with
@@ -132,9 +134,9 @@ let diamond =
    M r 0 rinc 1 1\n\
    .\n"
 
-let eval_counts ~schedule source ~cycles =
+let eval_counts source ~cycles =
   let analysis = Asim.load_string source in
-  let m, counts = Flat.create_debug ~config:quiet ~schedule analysis in
+  let m, counts = Flat.create_debug ~config:quiet analysis in
   Machine.run m ~cycles;
   counts ()
 
@@ -145,7 +147,7 @@ let count name counts =
 
 let test_dirty_seeding () =
   let cycles = 50 in
-  let counts = eval_counts ~schedule:Flat.Activity diamond ~cycles in
+  let counts = eval_counts diamond ~cycles in
   (* Components fed by the always-changing register re-evaluate every
      cycle... *)
   List.iter
@@ -157,13 +159,6 @@ let test_dirty_seeding () =
     (fun n -> Alcotest.(check int) (n ^ " evals") 1 (count n counts))
     [ "b"; "c"; "d"; "q" ]
 
-let test_full_ablation_counts () =
-  let cycles = 50 in
-  let counts = eval_counts ~schedule:Flat.Full diamond ~cycles in
-  List.iter
-    (fun (n, c) -> Alcotest.(check int) (n ^ " evals") cycles c)
-    counts
-
 (* Activity scheduling must not change what the machine computes. *)
 let test_diamond_semantics () =
   lockstep "diamond" (Asim.Parser.parse_string diamond) ~cycles:50
@@ -173,15 +168,14 @@ let test_diamond_semantics () =
 (* ------------------------------------------------------------------ *)
 
 (* The designs test_jit runs the native engine's chunk functions on, here
-   against two engines with no activity at all, so the supernode rules are
-   checked without a toolchain: a mark that misses a later supernode, a
-   supernode byte cleared before its scan returns, or a fault target's
-   supernode left unpinned each shows up as a divergence. *)
-let flat_vs_full =
+   against the closure compiler, which has no activity at all, so the
+   supernode rules are checked without a toolchain: a mark that misses a
+   later supernode, a supernode byte cleared before its scan returns, or a
+   fault target's supernode left unpinned each shows up as a divergence. *)
+let flat_vs_compiled =
   [
-    ("flat", fun config analysis -> Flat.create ~config ~schedule:Flat.Activity analysis);
+    ("flat", fun config analysis -> Flat.create ~config analysis);
     ("compiled", fun config analysis -> Asim.Compile.create ~config analysis);
-    ("flat-full", fun config analysis -> Flat.create ~config ~schedule:Flat.Full analysis);
   ]
 
 let require_supernodes (analysis : Asim.Analysis.t) =
@@ -193,14 +187,14 @@ let test_supernode_lockstep () =
     (fun (what, analysis) ->
       require_supernodes analysis;
       Alcotest.(check int) (what ^ ": no errors") 0
-        (Supernode_designs.lockstep ~engines:flat_vs_full what analysis ~cycles:300))
+        (Supernode_designs.lockstep ~engines:flat_vs_compiled what analysis ~cycles:300))
     (Supernode_designs.lockstep_designs ())
 
 let test_supernode_late_fault () =
   List.iter
     (fun (what, analysis, cycles, faults) ->
       require_supernodes analysis;
-      ignore (Supernode_designs.lockstep ~engines:flat_vs_full what analysis ~cycles ~faults))
+      ignore (Supernode_designs.lockstep ~engines:flat_vs_compiled what analysis ~cycles ~faults))
     (Supernode_designs.late_fault_designs ())
 
 let test_supernode_error_restep () =
@@ -208,7 +202,7 @@ let test_supernode_error_restep () =
     (fun (what, analysis, cycles, raising) ->
       require_supernodes analysis;
       Alcotest.(check int) (what ^ ": raising steps") raising
-        (Supernode_designs.lockstep ~engines:flat_vs_full what analysis ~cycles))
+        (Supernode_designs.lockstep ~engines:flat_vs_compiled what analysis ~cycles))
     (Supernode_designs.error_designs ())
 
 (* ------------------------------------------------------------------ *)
@@ -220,28 +214,21 @@ let test_supernode_error_restep () =
    stay under a small epsilon (Gc.minor_words itself returns a boxed float,
    and the allowance absorbs such one-off boxes — what matters is that the
    delta does not scale with the cycle count). *)
-let minor_words_for schedule =
+let test_zero_allocation () =
   let analysis =
     Asim.Analysis.analyze
       (Asim_stackm.Microcode.spec ~program:Asim_stackm.Demos.sieve_reassembled ())
   in
-  let m = Flat.create ~config:quiet ~schedule analysis in
+  let m = Flat.create ~config:quiet analysis in
   Machine.run m ~cycles:64;
   (* warm-up *)
   let before = Gc.minor_words () in
   for _ = 1 to 2000 do
     m.Machine.step ()
   done;
-  Gc.minor_words () -. before
-
-let test_zero_allocation () =
-  List.iter
-    (fun (name, schedule) ->
-      let delta = minor_words_for schedule in
-      if delta > 256.0 then
-        Alcotest.failf "flat (%s) allocated %.0f minor words over 2000 cycles"
-          name delta)
-    [ ("activity", Flat.Activity); ("full", Flat.Full) ]
+  let delta = Gc.minor_words () -. before in
+  if delta > 256.0 then
+    Alcotest.failf "flat allocated %.0f minor words over 2000 cycles" delta
 
 (* Contrast: the interpreter allocates per cycle, proving the measurement
    would catch an allocating step loop. *)
@@ -335,14 +322,10 @@ let () =
           Alcotest.test_case "generated specs" `Slow test_oracle_generated;
           Alcotest.test_case "example specs" `Quick test_oracle_examples;
         ] );
-      ( "activity",
-        [
-          Alcotest.test_case "dirty-bit seeding" `Quick test_dirty_seeding;
-          Alcotest.test_case "full ablation" `Quick test_full_ablation_counts;
-        ] );
+      ("activity", [ Alcotest.test_case "dirty-bit seeding" `Quick test_dirty_seeding ]);
       ( "supernode",
         [
-          Alcotest.test_case "1k designs vs compiled, flat-full" `Slow
+          Alcotest.test_case "1k designs vs compiled" `Slow
             test_supernode_lockstep;
           Alcotest.test_case "fault window over quiet logic" `Quick
             test_supernode_late_fault;

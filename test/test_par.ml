@@ -4,7 +4,7 @@
    structured partition assignments, the sequential error-replay contract,
    the ASIM_PAR_SKEW must-fail (a planted lost update the barrier + mailbox
    discipline exists to prevent), the par@1 zero-allocation ablation, and
-   partitioner/generator determinism.  The generic seven-engine matrix lives
+   partitioner/generator determinism.  The generic five-engine matrix lives
    in test_equiv.ml via [Oracle.all]. *)
 
 module Machine = Asim.Machine

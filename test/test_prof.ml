@@ -23,22 +23,18 @@ let profiled build =
   Prof.finalize prof;
   (prof, m)
 
-(* The acceptance identity: under full re-evaluation every engine
-   considers every combinational component exactly once per cycle, so the
-   flat kernel's per-slot evaluation counts must equal an independent
-   interpreter recount of the same run — and the memory traffic must
-   agree too, since the simulations are semantically identical. *)
+(* The acceptance identity: the closure compiler, like the interpreter,
+   evaluates every combinational component exactly once per cycle, so its
+   per-slot evaluation counts must equal an independent interpreter recount
+   of the same run.  The memory traffic depends on no schedule, so the flat
+   kernel's must agree too, since the simulations are semantically
+   identical. *)
 let test_cross_engine_identity () =
-  let flat, _ =
-    profiled (fun prof a ->
-        Flat.create ~config:quiet ~schedule:Flat.Full ~prof a)
-  in
   let interp, _ = profiled (fun prof a -> Interp.create ~config:quiet ~prof a) in
   let compiled, _ =
     profiled (fun prof a -> Compile.create ~config:quiet ~prof a)
   in
-  Alcotest.(check (array int))
-    "flat(full) evals == interp recount" interp.Prof.evals flat.Prof.evals;
+  let flat, _ = profiled (fun prof a -> Flat.create ~config:quiet ~prof a) in
   Alcotest.(check (array int))
     "compiled evals == interp recount" interp.Prof.evals compiled.Prof.evals;
   Alcotest.(check (array int)) "reads agree" interp.Prof.reads flat.Prof.reads;
@@ -55,8 +51,7 @@ let test_cross_engine_identity () =
    on this workload (the flat kernel's whole premise). *)
 let test_activity_accounting () =
   let prof, _ =
-    profiled (fun prof a ->
-        Flat.create ~config:quiet ~schedule:Flat.Activity ~prof a)
+    profiled (fun prof a -> Flat.create ~config:quiet ~prof a)
   in
   Array.iteri
     (fun slot kind ->
@@ -159,8 +154,7 @@ let test_report_surfaces () =
 (* Supernode scans are an exact work count.  A chain fed by a constant
    settles on the first cycle, so each of its four supernodes is scanned
    once; a chain fed by the counter register changes end to end every
-   cycle, so every supernode is scanned every cycle.  Under the full
-   schedule every supernode counts every cycle, and an engine without
+   cycle, so every supernode is scanned every cycle.  An engine without
    supernodes reports none.  Every 7th cycle takes the sampled level-major
    loop, which must count the same. *)
 let test_supernode_scans () =
@@ -179,7 +173,6 @@ let test_supernode_scans () =
   and counting = Supernode_designs.counting_chain 400 in
   check "constant chain" (run `Flat constant) ~supernodes:4 ~scans:4;
   check "counting chain" (run `Flat counting) ~supernodes:4 ~scans:(4 * cycles);
-  check "flat-full" (run `FlatFull constant) ~supernodes:4 ~scans:(4 * cycles);
   check "interpreter" (run `Interp counting) ~supernodes:0 ~scans:0;
   let json = Asim_batch.Runner.prof_to_json (run `Flat constant) in
   List.iter
@@ -209,23 +202,20 @@ let test_profiled_step_zero_alloc () =
 (* A profiled native or par machine does not type-check ([Asim.profiled]
    takes counting engines only; test_cli covers the run-time refusal of
    [-e native --profile]).  Every counting engine builds its own
-   instrumented machine: the profile names the engine that ran and counts
-   every cycle. *)
+   instrumented machine: the profile names the engine that ran by its -e
+   name and counts every cycle. *)
 let test_engine_dispatch () =
   let analysis = sieve_analysis () in
   List.iter
-    (fun (engine, expected) ->
+    (fun engine ->
       let prof = Prof.create analysis in
       let m = Asim.profiled ~config:quiet ~engine prof analysis in
       Machine.run m ~cycles:100;
       Prof.finalize prof;
       let name = Asim.engine_to_string engine in
-      Alcotest.(check string) (name ^ " names itself") expected prof.Prof.engine;
+      Alcotest.(check string) (name ^ " names itself") name prof.Prof.engine;
       Alcotest.(check int) (name ^ " counted its cycles") 100 prof.Prof.cycles)
-    [
-      (`Interp, "interpreter"); (`Compiled, "compiled"); (`Unoptimized, "compiled");
-      (`Flat, "flat"); (`FlatFull, "flat");
-    ]
+    [ `Interp; `Compiled; `Flat ]
 
 let () =
   Alcotest.run "prof"
