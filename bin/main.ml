@@ -72,6 +72,16 @@ let opt_level_conv =
         | None -> Error (`Msg ("unknown opt level " ^ s ^ " (expected 0, 1 or 2)"))),
       fun ppf l -> Format.pp_print_string ppf (Asim.Opt.level_to_string l) )
 
+(* Worker counts ([--domains], [--jobs]): a count below 1 is a usage
+   error, not something to clamp. *)
+let positive_int =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (`Msg ("invalid value " ^ s ^ ", expected a positive integer"))),
+      Format.pp_print_int )
+
 let opt_arg =
   Arg.(
     value
@@ -435,7 +445,7 @@ let run_cmd =
   let domains_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Partition count for the $(b,par) engine (default: the \
@@ -1032,7 +1042,7 @@ let fuzz_cmd =
   in
   let fuzz_jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains to spread campaign indices over.  Reporting stays \
@@ -1056,7 +1066,7 @@ let fuzz_cmd =
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Worker domains to run jobs on; they share one job queue and one cache.")
 

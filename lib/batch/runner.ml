@@ -79,6 +79,7 @@ let prof_to_json ?source (p : Asim.Prof.t) =
       ("levels", Json.Int p.nlevels);
       ("supernodes", Json.Int p.supernodes);
       ("supernode_scans", Json.Int p.supernode_scans);
+      ("memory_skips", Json.Int p.memory_skips);
       ( "components",
         Json.List
           (List.map

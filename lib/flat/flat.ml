@@ -222,6 +222,7 @@ type mem_desc = {
   m_off : int;  (** offset into the shared cell array *)
   m_len : int;  (** number of cells *)
   m_init : int array option;
+  m_reads : int list;  (** the slots the three blocks read, once per reference *)
 }
 
 type program = {
@@ -291,23 +292,23 @@ let compile ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
       List.sort_uniq compare !refs
       |> List.iter (fun src -> dependents.(src) <- pos :: dependents.(src)))
     order;
-  (* Memory expressions are latched every cycle regardless of activity, so
-     their references create no scheduling edges. *)
-  let sink = ref [] in
+  (* A memory's reads are kept with its blocks rather than in the
+     combinational dependency table, which par reads as positions. *)
   let off = ref 0 in
   let mems =
     analysis.Asim_analysis.Analysis.memories
     |> List.map (fun (c : Component.t) ->
            match c.kind with
            | Component.Memory m ->
+               let refs = ref [] in
                let addr_pc = e.len in
-               emit_expr e ids sink m.addr;
+               emit_expr e ids refs m.addr;
                emit e op_ret;
                let op_pc = e.len in
-               emit_expr e ids sink m.op;
+               emit_expr e ids refs m.op;
                emit e op_ret;
                let data_pc = e.len in
-               emit_expr e ids sink m.data;
+               emit_expr e ids refs m.data;
                emit e op_ret;
                let d =
                  {
@@ -319,6 +320,7 @@ let compile ?(tracer = Asim_obs.Tracer.null) ?slots ?comb_order
                    m_off = !off;
                    m_len = m.cells;
                    m_init = m.init;
+                   m_reads = !refs;
                  }
                in
                off := !off + m.cells;
@@ -501,13 +503,15 @@ let create_debug ?(config = Machine.default_config)
   (* Two activity levels: a dirty byte per combinational position and an
      active byte per supernode.  A mark sets both, so a supernode with a
      dirty position is always active and a clear one is skipped with one
-     test.  Everything starts dirty and active; a faulted component is
-     pinned dirty and its supernode pinned active, so a cycle-windowed
-     fault keeps firing even over quiescent logic. *)
+     test.  Each memory's dirty byte follows the supernodes' bytes in
+     [active] (memory [k] at [nsuper + k]).  Everything starts dirty and
+     active; a faulted component is pinned dirty and its supernode pinned
+     active, so a cycle-windowed fault keeps firing even over quiescent
+     logic. *)
   let nsuper = A.supernodes ncomb in
   let dirty = Bytes.make (max 1 ncomb) '\001' in
   let comb_fault = Bytes.make (max 1 ncomb) '\000' in
-  let active = Bytes.make (max 1 nsuper) '\001' in
+  let active = Bytes.make (max 1 (nsuper + nmem)) '\001' in
   let pinned = Bytes.make (max 1 nsuper) '\000' in
   for i = 0 to ncomb - 1 do
     if List.mem names.(comb_id.(i)) fault_targets then begin
@@ -515,25 +519,41 @@ let create_debug ?(config = Machine.default_config)
       Bytes.set pinned (A.supernode i) '\001'
     end
   done;
-  (* The distinct supernodes of each slot's dependents, laid out like
-     [p_deps]: a wake-up sets each supernode byte once, however many of the
-     slot's dependents it holds.  On a spec of one supernode that is one
-     store per wake-up instead of one per dependent. *)
-  let sn_off = Array.make (max 1 ncomp) 0 and sn_len = Array.make (max 1 ncomp) 0 in
-  let sns = Array.make (max 1 (Array.length deps)) 0 in
+  (* The [active] bytes each slot's wake-up sets, laid out like [p_deps]:
+     the distinct supernodes of its dependents, then the memories whose
+     blocks read it.  A wake-up sets each supernode byte once, however many
+     of the slot's dependents it holds; on a spec of one supernode that is
+     one store per wake-up instead of one per dependent. *)
+  let mem_readers = Array.make (max 1 ncomp) [] in
+  Array.iteri
+    (fun k m ->
+      List.iter
+        (fun s ->
+          match mem_readers.(s) with
+          | b :: _ when b = nsuper + k -> () (* read again by the same memory *)
+          | l -> mem_readers.(s) <- (nsuper + k) :: l)
+        m.m_reads)
+    p.p_mems;
+  let nreads = Array.fold_left (fun acc m -> acc + List.length m.m_reads) 0 p.p_mems in
+  let mark_off = Array.make (max 1 ncomp) 0 and mark_len = Array.make (max 1 ncomp) 0 in
+  let marks = Array.make (max 1 (Array.length deps + nreads)) 0 in
   let seen_by = Array.make (max 1 nsuper) (-1) in
   let n = ref 0 in
+  let add b =
+    marks.(!n) <- b;
+    incr n
+  in
   for id = 0 to ncomp - 1 do
-    sn_off.(id) <- !n;
+    mark_off.(id) <- !n;
     for j = dep_off.(id) to dep_off.(id) + dep_len.(id) - 1 do
       let s = A.supernode deps.(j) in
       if seen_by.(s) <> id then begin
         seen_by.(s) <- id;
-        sns.(!n) <- s;
-        incr n
+        add s
       end
     done;
-    sn_len.(id) <- !n - sn_off.(id)
+    List.iter add mem_readers.(id);
+    mark_len.(id) <- !n - mark_off.(id)
   done;
   (* Inlined at every marking site: a call per wake-up costs a small spec
      about 5% of its cycle. *)
@@ -542,9 +562,9 @@ let create_debug ?(config = Machine.default_config)
     for j = o to o + Array.unsafe_get dep_len id - 1 do
       Bytes.unsafe_set dirty (Array.unsafe_get deps j) '\001'
     done;
-    let o = Array.unsafe_get sn_off id in
-    for j = o to o + Array.unsafe_get sn_len id - 1 do
-      Bytes.unsafe_set active (Array.unsafe_get sns j) '\001'
+    let o = Array.unsafe_get mark_off id in
+    for j = o to o + Array.unsafe_get mark_len id - 1 do
+      Bytes.unsafe_set active (Array.unsafe_get marks j) '\001'
     done
   in
   (* Supernode [s] holds positions [s * A.supernode_size .. last s]. *)
@@ -589,11 +609,62 @@ let create_debug ?(config = Machine.default_config)
   in
   let mems = p.p_mems in
   let mcount = Array.map (fun m -> Stats.memory stats m.m_name) mems in
-  let mfault = Array.map (fun m -> List.mem m.m_name fault_targets) mems in
-  let snap k =
-    let m = Array.unsafe_get mems k in
-    Array.unsafe_set maddr k (exec m.m_addr_pc 0 0 0);
-    Array.unsafe_set mop k (exec m.m_op_pc 0 0 0)
+  (* Memory activity.  A memory's dirty byte in [active] is set whenever a
+     slot its blocks read changes, and cleared when its address and
+     operation are snapshotted: that happens before any update (§4.3), so a
+     mark made later in the memory phase must survive to the next
+     snapshot.  The snapshot sets the memory's [must] byte, which is
+     cleared only once its update succeeds, so an address error re-raises
+     when the machine is stepped again; a fault target's stays set.  Any
+     other read or write whose dirty byte is still clear at its update is
+     quiet: its address, operation and data are those of its last update,
+     and nothing but that update and [write_cell] writes its cells, so the
+     update would store the values already there. *)
+  let must = Bytes.make (max 1 nmem) '\000' in
+  let mfault = Bytes.make (max 1 nmem) '\000' in
+  Array.iteri
+    (fun k m -> if List.mem m.m_name fault_targets then Bytes.set mfault k '\001')
+    mems;
+  (* §4.4: a constant address or operation is latched here, once, and its
+     block never runs ([-1] for its pc).  A block without a term load is
+     [CONST c; RET]: [Lower.lower] found its expression constant. *)
+  let addr_pc = Array.map (fun m -> m.m_addr_pc) mems in
+  let op_pc = Array.map (fun m -> m.m_op_pc) mems in
+  let latch pcs latched k =
+    let pc = pcs.(k) in
+    if code.(pc + 2) = op_ret then begin
+      latched.(k) <- code.(pc + 1);
+      pcs.(k) <- -1
+    end
+  in
+  for k = 0 to nmem - 1 do
+    latch addr_pc maddr k;
+    latch op_pc mop k
+  done;
+  let[@inline] snap k =
+    if Bytes.unsafe_get active (nsuper + k) <> '\000' then begin
+      Bytes.unsafe_set active (nsuper + k) '\000';
+      Bytes.unsafe_set must k '\001';
+      let pc = Array.unsafe_get addr_pc k in
+      if pc >= 0 then Array.unsafe_set maddr k (exec pc 0 0 0);
+      let pc = Array.unsafe_get op_pc k in
+      if pc >= 0 then Array.unsafe_set mop k (exec pc 0 0 0)
+    end
+  in
+  let trace_op m a op v =
+    if Component.traces_writes op then
+      trace (Trace.write_line ~memory:m.m_name ~address:a ~data:v);
+    if Component.traces_reads op then
+      trace (Trace.read_line ~memory:m.m_name ~address:a ~data:v)
+  in
+  (* A quiet read or write: counted and traced, not evaluated. *)
+  let[@inline] quiet k op =
+    let c = Array.unsafe_get mcount k in
+    if op land 1 = 0 then c.Stats.reads <- c.Stats.reads + 1
+    else c.Stats.writes <- c.Stats.writes + 1;
+    if trace_active then
+      let m = Array.unsafe_get mems k in
+      trace_op m (Array.unsafe_get maddr k) op vals.(m.m_id)
   in
   let update k =
     let m = Array.unsafe_get mems k in
@@ -626,18 +697,39 @@ let create_debug ?(config = Machine.default_config)
         Array.unsafe_set vals id v;
         io.Io.output ~address:a ~data:v;
         c.Stats.outputs <- c.Stats.outputs + 1);
-    if trace_active then (
-      if Component.traces_writes op then
-        trace (Trace.write_line ~memory:m.m_name ~address:a ~data:vals.(id));
-      if Component.traces_reads op then
-        trace (Trace.read_line ~memory:m.m_name ~address:a ~data:vals.(id)));
-    (if Array.unsafe_get mfault k then begin
+    if trace_active then trace_op m a op vals.(id);
+    (if Bytes.unsafe_get mfault k <> '\000' then begin
        let before = Array.unsafe_get vals id in
        let v = Fault.apply faults ~cycle:!cycle ~component:m.m_name before in
        if v <> before then count_fault id;
        Array.unsafe_set vals id v
      end);
-    if Array.unsafe_get vals id <> old then wake id
+    if Array.unsafe_get vals id <> old then wake id;
+    Bytes.unsafe_set must k (Bytes.unsafe_get mfault k)
+  in
+  (* Snapshot every memory, then update them in declaration order; a
+     memory runs its update if it was dirty at its snapshot or is a fault
+     target ([must]), was woken earlier in this phase, or performs input or
+     output.  Returns the number of quiet memories.  Both steps run this
+     same phase. *)
+  let[@inline] mem_phase () =
+    for k = 0 to nmem - 1 do
+      snap k
+    done;
+    let skipped = ref 0 in
+    for k = 0 to nmem - 1 do
+      let op = Array.unsafe_get mop k in
+      if
+        Bytes.unsafe_get must k = '\000'
+        && Bytes.unsafe_get active (nsuper + k) = '\000'
+        && op land 2 = 0
+      then begin
+        quiet k op;
+        incr skipped
+      end
+      else update k
+    done;
+    !skipped
   in
   let traced =
     Spec.traced_names analysis.Asim_analysis.Analysis.spec
@@ -654,12 +746,7 @@ let create_debug ?(config = Machine.default_config)
   let step () =
     comb_activity ();
     emit_cycle_line ();
-    for k = 0 to nmem - 1 do
-      snap k
-    done;
-    for k = 0 to nmem - 1 do
-      update k
-    done;
+    ignore (mem_phase () : int);
     incr cycle;
     Stats.bump_cycle stats
   in
@@ -767,47 +854,43 @@ let create_debug ?(config = Machine.default_config)
             comb_sampled ();
             emit_cycle_line ();
             let tm = Asim_obs.Clock.now () in
-            for k = 0 to nmem - 1 do
-              snap k
-            done;
-            for k = 0 to nmem - 1 do
-              update k
-            done;
+            let skipped = mem_phase () in
             let t1 = Asim_obs.Clock.now () in
             pr.Prof.mem_ns <- pr.Prof.mem_ns +. ((t1 -. tm) *. 1e9);
             pr.Prof.sampled_ns <- pr.Prof.sampled_ns +. ((t1 -. t0) *. 1e9);
-            pr.Prof.sampled_cycles <- pr.Prof.sampled_cycles + 1
+            pr.Prof.sampled_cycles <- pr.Prof.sampled_cycles + 1;
+            pr.Prof.memory_skips <- pr.Prof.memory_skips + skipped
           end
           else begin
             comb_prof ();
             emit_cycle_line ();
-            for k = 0 to nmem - 1 do
-              snap k
-            done;
-            for k = 0 to nmem - 1 do
-              update k
-            done
+            pr.Prof.memory_skips <- pr.Prof.memory_skips + mem_phase ()
           end;
           pr.Prof.cycles <- pr.Prof.cycles + 1;
           incr cycle;
           Stats.bump_cycle stats
   in
-  let mem_by_name name =
-    match Array.find_opt (fun m -> String.equal m.m_name name) mems with
-    | Some m -> m
-    | None -> Error.failf Error.Runtime "Component <%s> is not a memory." name
+  let mem_index name =
+    let rec find k =
+      if k = nmem then Error.failf Error.Runtime "Component <%s> is not a memory." name
+      else if String.equal mems.(k).m_name name then k
+      else find (k + 1)
+    in
+    find 0
   in
-  let read_cell name index =
-    let m = mem_by_name name in
-    if index < 0 || index >= m.m_len then
-      invalid_arg "Flat: cell index out of range"
-    else cells.(m.m_off + index)
+  let cell name index =
+    let k = mem_index name in
+    let m = mems.(k) in
+    if index < 0 || index >= m.m_len then invalid_arg "Flat: cell index out of range"
+    else (k, m.m_off + index)
   in
+  let read_cell name index = cells.(snd (cell name index)) in
+  (* A poked cell may be the one a quiet read holds, or one a quiet write
+     is meant to overwrite, so the memory runs its next update. *)
   let write_cell name index value =
-    let m = mem_by_name name in
-    if index < 0 || index >= m.m_len then
-      invalid_arg "Flat: cell index out of range"
-    else cells.(m.m_off + index) <- value
+    let k, i = cell name index in
+    cells.(i) <- value;
+    Bytes.set active (nsuper + k) '\001'
   in
   let machine =
     {

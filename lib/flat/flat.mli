@@ -26,9 +26,21 @@
     an inactive supernode with one test, so quiet logic costs one byte per
     supernode per cycle.  A supernode's byte is reset only after its scan
     returns, so a selector error re-raises when the machine is stepped
-    again.  Memories always latch (they are sequential), and fault-injected
-    components are pinned permanently dirty, their supernodes permanently
-    active, so cycle-windowed faults keep firing.
+    again.  Fault-injected components are pinned permanently dirty, their
+    supernodes permanently active, so cycle-windowed faults keep firing.
+
+    {b Memory activity.}  Memories join the same wake-ups: each carries a
+    dirty byte, set when a slot its address, operation or data reads
+    changes (or when [write_cell] pokes one of its cells).  A constant
+    address or operation (§4.4) is latched once, when the machine is
+    built.  Only dirty memories are snapshotted.  A memory runs its update
+    if it was dirty at its snapshot, was woken earlier in the same memory
+    phase, is a fault target, or performs input or output; any other
+    memory is quiet: it still counts its read or write in the statistics
+    and emits its trace lines, but evaluates nothing.  The dirty byte is
+    cleared at the snapshot, since address and operation are latched
+    before any update (§4.3), and a run byte set there is cleared only
+    when the update succeeds, so an address error re-raises on re-step.
 
     The result is observationally identical to [Asim_interp] and
     [Asim_compile] (the differential-fuzz oracle enforces this): same
@@ -58,7 +70,8 @@ val create :
 
     [prof] attaches an {!Asim_prof.Prof} profile: evaluation and fault
     counters tick in the kernel's hot loops (one preallocated-array
-    increment per evaluation, one counter bump per scanned supernode), the
+    increment per evaluation, one counter bump per scanned supernode, and
+    the cycle's quiet memories added to [memory_skips]), the
     flat program's per-component word counts
     fill the profile's static cost model, the I/O handler is wrapped with a
     wait timer, and every [sample_every]-th cycle is timed per topological
@@ -95,6 +108,9 @@ type mem_desc = {
   m_off : int;  (** offset into the shared cell array *)
   m_len : int;  (** number of cells *)
   m_init : int array option;
+  m_reads : int list;
+      (** the slots the three blocks read, once per reference: the flat
+          machine wakes the memory when one of them changes *)
 }
 
 (** A compiled flat program: the instruction stream plus every index needed

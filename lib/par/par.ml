@@ -562,8 +562,8 @@ let create ?(config = Machine.default_config)
         Array.blit vals_t lo_t master lo_t (hi_t - lo_t)
   in
   let fns = if nd > 1 then Array.init nd participant else [||] in
-  (* coordinator-side memory phase over the master state — the same
-     latch-then-update sequence as the flat engine *)
+  (* coordinator-side memory phase over the master state — the flat
+     engine's latch-then-update sequence, without its memory activity *)
   let mems = p.Flat.p_mems in
   let nmem = Array.length mems in
   let stats =

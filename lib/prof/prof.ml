@@ -30,6 +30,7 @@ type t = {
   mutable cycles : int;
   mutable supernodes : int;
   mutable supernode_scans : int;
+  mutable memory_skips : int;
   mutable engine : string;
   mutable stats : Stats.t option;
 }
@@ -111,6 +112,7 @@ let create ?(sample_every = 256) (analysis : Analysis.t) =
     cycles = 0;
     supernodes = 0;
     supernode_scans = 0;
+    memory_skips = 0;
     engine = "";
     stats = None;
   }
@@ -236,10 +238,14 @@ let report ?(top = 10) ?source t =
     "profile: engine=%s cycles=%d sampled=%d (every %d)\n"
     (if t.engine = "" then "?" else t.engine)
     t.cycles t.sampled_cycles t.sample_every;
-  if t.supernodes > 0 then
+  let per_cycle n = if t.cycles = 0 then 0.0 else float_of_int n /. float_of_int t.cycles in
+  if t.supernodes > 0 then begin
     Printf.bprintf b "supernodes: %d, scanned %.2f per cycle\n" t.supernodes
-      (if t.cycles = 0 then 0.0
-       else float_of_int t.supernode_scans /. float_of_int t.cycles);
+      (per_cycle t.supernode_scans);
+    Printf.bprintf b "memories: %d, quiet %.2f per cycle\n"
+      (Array.fold_left (fun n k -> if k = 'M' then n + 1 else n) 0 t.kinds)
+      (per_cycle t.memory_skips)
+  end;
   if t.io_events > 0 then
     Printf.bprintf b "io: %d transfers, %.3f ms waiting\n" t.io_events
       (t.io_ns /. 1e6);

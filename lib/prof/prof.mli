@@ -22,6 +22,8 @@
       {!Asim_sim.Stats} counters, which every engine already maintains;
     - fault triggers: counted only when an injected fault actually perturbs
       a value (fault paths are off the benchmark hot loop);
+    - quiet memories: the flat kernel's memory phase returns how many
+      memories it left unevaluated, added once per cycle;
     - I/O waits: the handler is wrapped with a {!Asim_obs.Clock} timer.
 
     Counter arrays are indexed by component {e slot} — the component's
@@ -62,6 +64,11 @@ type t = {
   mutable supernode_scans : int;
       (** supernodes whose components were scanned: one per supernode
           found active in a cycle *)
+  mutable memory_skips : int;
+      (** quiet memories: reads and writes the flat kernel counted and
+          traced without evaluating, because nothing they read had changed
+          since their last update; 0 under engines without memory
+          activity *)
   mutable engine : string;
   mutable stats : Asim_sim.Stats.t option;
       (** engine statistics, source of the per-memory counters *)
@@ -119,9 +126,9 @@ val hot : ?top:int -> ?source:string -> t -> row list
     (default 10). *)
 
 val report : ?top:int -> ?source:string -> t -> string
-(** Human-readable profile: run header, supernode scans per cycle (engines
-    with supernodes), top-N hot components, sampled per-level timings and
-    memory traffic. *)
+(** Human-readable profile: run header, supernode scans and quiet memories
+    per cycle (engines with supernodes), top-N hot components, sampled
+    per-level timings and memory traffic. *)
 
 val to_flame : ?source:string -> t -> string
 (** Folded flame stacks (one [frame;frame;frame count] line per component,

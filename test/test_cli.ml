@@ -131,6 +131,36 @@ let test_removed_engine_names () =
           ("fuzz --inject-bug -q", "unknown option");
         ])
 
+(* Worker counts are positive: a zero or negative [--domains] or [--jobs]
+   is a usage error on every command that takes one, and a positive count
+   still runs. *)
+let test_worker_counts_positive () =
+  with_spec counter @@ fun path ->
+  with_spec "{\"example\":\"counter\"}\n" @@ fun manifest ->
+  let spec = Filename.quote path and manifest = Filename.quote manifest in
+  List.iter
+    (fun args ->
+      let code, text = run_cli args in
+      Alcotest.(check int) (args ^ " exit") 124 code;
+      Alcotest.(check bool) (args ^ " says why") true
+        (contains text "expected a positive integer"))
+    [
+      Printf.sprintf "run %s -e par --domains 0" spec;
+      Printf.sprintf "run %s -e par --domains=-3" spec;
+      "fuzz --jobs=-2 --count 1 -q";
+      "fuzz --jobs 0 --count 1 -q";
+      Printf.sprintf "batch %s --jobs=0" manifest;
+      Printf.sprintf "batch %s --jobs=-1" manifest;
+      "serve --jobs 0";
+    ];
+  List.iter
+    (fun args -> check_ok args (run_cli args) [])
+    [
+      Printf.sprintf "run %s -e par --domains 1 -q" spec;
+      "fuzz --jobs 1 --count 2 --engines interp,flat -q";
+      Printf.sprintf "batch %s --jobs 1 --no-metrics -o /dev/null" manifest;
+    ]
+
 let test_run_fault () =
   with_spec counter (fun path ->
       check_ok "run fault"
@@ -799,6 +829,8 @@ let () =
           Alcotest.test_case "engines agree" `Quick test_run_engines_agree;
           Alcotest.test_case "removed engine names are usage errors" `Quick
             test_removed_engine_names;
+          Alcotest.test_case "worker counts are positive" `Quick
+            test_worker_counts_positive;
           Alcotest.test_case "fault injection" `Quick test_run_fault;
           Alcotest.test_case "vcd output" `Quick test_run_vcd;
           Alcotest.test_case "check" `Quick test_check;

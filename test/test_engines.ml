@@ -279,14 +279,21 @@ let test_run_until () =
   Alcotest.(check int) "stopped at 5" 5 steps
 
 let test_write_cell () =
-  (* A 4-cell ROM scanned by a counter: poke a cell, see it stream out. *)
-  let source = "#c\nc inc r .\nA inc 4 c 1\nM r c.0.1 0 0 4\nM c 0 inc 1 1\n.\n" in
-  let analysis = load_string source in
-  let m = Compile.create ~config:Machine.quiet_config analysis in
-  m.Machine.write_cell "r" 2 55;
-  Machine.run m ~cycles:3;
-  Alcotest.(check int) "poked value streamed out" 55 (m.Machine.read "r");
-  Alcotest.(check int) "read_cell sees it too" 55 (m.Machine.read_cell "r" 2)
+  (* A 4-cell ROM scanned by a counter: poke a cell, see it stream out.
+     Beside it a ROM read at a constant address, which has nothing left to
+     evaluate once it has read: the poke itself must reach its output. *)
+  let source =
+    "#c\nc inc r k .\nA inc 4 c 1\nM r c.0.1 0 0 4\nM k 1 0 0 4\nM c 0 inc 1 1\n.\n"
+  in
+  each source (fun label m ->
+      m.Machine.write_cell "r" 2 55;
+      Machine.run m ~cycles:3;
+      Alcotest.(check int) (label ^ " poked value streamed out") 55 (m.Machine.read "r");
+      Alcotest.(check int) (label ^ " read_cell sees it too") 55 (m.Machine.read_cell "r" 2);
+      Alcotest.(check int) (label ^ " constant address before") 0 (m.Machine.read "k");
+      m.Machine.write_cell "k" 1 66;
+      m.Machine.step ();
+      Alcotest.(check int) (label ^ " constant address poked") 66 (m.Machine.read "k"))
 
 let () =
   Alcotest.run "engines"

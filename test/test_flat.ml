@@ -4,7 +4,8 @@
    domains on the two big demo machines,
    activity-scheduling (dirty-bit) behavior on a hand-built diamond
    dependency graph, supernode activity on designs of several supernodes
-   against the closure compiler, the zero-per-cycle-allocation
+   and memory activity on small designs whose memories go quiet and wake,
+   both against the closure compiler, the zero-per-cycle-allocation
    guarantee, and the codegen spans.  The generic cross-engine semantics
    matrix lives in test_engines.ml / test_equiv.ml, which iterate over
    [Oracle.all] and so cover the flat engine too; test_lower.ml checks
@@ -205,6 +206,16 @@ let test_supernode_error_restep () =
         (Supernode_designs.lockstep ~engines:flat_vs_compiled what analysis ~cycles))
     (Supernode_designs.error_designs ())
 
+(* Memories that go quiet and wake; the designs are small, so these
+   exercise memory activity in one supernode. *)
+let test_quiet_memories () =
+  List.iter
+    (fun (what, analysis, cycles, pokes, faults, raising) ->
+      Alcotest.(check int) (what ^ ": raising steps") raising
+        (Supernode_designs.lockstep ~engines:flat_vs_compiled what analysis ~cycles ~pokes
+           ~faults))
+    (Supernode_designs.quiet_memory_designs ())
+
 (* ------------------------------------------------------------------ *)
 (* Zero per-cycle allocation                                          *)
 (* ------------------------------------------------------------------ *)
@@ -331,6 +342,7 @@ let () =
             test_supernode_late_fault;
           Alcotest.test_case "re-step after errors" `Quick
             test_supernode_error_restep;
+          Alcotest.test_case "quiet memories" `Quick test_quiet_memories;
         ] );
       ( "allocation",
         [

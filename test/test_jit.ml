@@ -4,8 +4,8 @@
    kernel on the two big demo machines, observable equality (trace text,
    I/O events, final memories, statistics, faults) through the fuzz
    oracle, chunk-activity plugins against flat on ~1k-component specs
-   (faults over quiet chunks, re-stepping after runtime errors),
-   span-verified artifact-cache hits, single flight across domains and per
+   (faults over quiet chunks, re-stepping after runtime errors), flat's
+   quiet memories against one-supernode plugins, span-verified artifact-cache hits, single flight across domains and per
    spec, and recovery from a corrupted on-disk artifact.  Every test no-ops
    when no OCaml toolchain answers on PATH — the engine's own availability
    probe is the gate. *)
@@ -111,8 +111,8 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-(* Every test below is about the activity-scheduled plugin, so it first
-   checks the spec is big enough to get one. *)
+(* The chunk tests below are about the activity-scheduled plugin, so each
+   first checks the spec is big enough to get one. *)
 let require_chunks analysis =
   Alcotest.(check bool) "plugin is split into chunks" true
     (contains (Jit.generate_source analysis) "let chunk_1 ")
@@ -151,6 +151,18 @@ let test_chunked_error_restep =
           Alcotest.(check int) (what ^ ": raising steps") raising
             (Supernode_designs.lockstep ~engines:flat_and_native what analysis ~cycles))
         (Supernode_designs.error_designs ()))
+
+(* The designs whose memories go quiet and wake fit in one supernode, so
+   the plugin runs its straight-line step: here it is the reference for
+   flat's memory activity beside the closure compiler (test_flat). *)
+let test_quiet_memories =
+  if_toolchain (fun () ->
+      List.iter
+        (fun (what, analysis, cycles, pokes, faults, raising) ->
+          Alcotest.(check int) (what ^ ": raising steps") raising
+            (Supernode_designs.lockstep ~engines:flat_and_native what analysis ~cycles ~pokes
+               ~faults))
+        (Supernode_designs.quiet_memory_designs ()))
 
 (* ------------------------------------------------------------------ *)
 (* Full observable equality through the oracle                        *)
@@ -402,6 +414,7 @@ let () =
           Alcotest.test_case "fault window over quiet chunks" `Slow test_chunked_late_fault;
           Alcotest.test_case "re-step after selector and address errors" `Slow
             test_chunked_error_restep;
+          Alcotest.test_case "quiet memories vs flat" `Slow test_quiet_memories;
         ] );
       ( "observables",
         [

@@ -181,6 +181,36 @@ let test_supernode_scans () =
         Asim_batch.Json.(Option.bind (member field json) to_int))
     [ ("supernodes", 4); ("supernode_scans", 4) ]
 
+(* Quiet memories are an exact work count too.  The 1k mesh settles
+   within 200 cycles at -O0 and at -O2 (no evaluation and no memory value
+   changes after that), so from then on every memory is quiet every
+   cycle, sampled cycles included; the JSON document carries the count.
+   An engine without memory activity counts none. *)
+let test_memory_skips () =
+  let run engine analysis ~cycles =
+    let prof = Prof.create ~sample_every:7 analysis in
+    let m = Asim.profiled ~config:quiet ~engine prof analysis in
+    Machine.run m ~cycles;
+    (m, prof)
+  in
+  List.iter
+    (fun (what, analysis) ->
+      let m, prof = run `Flat analysis ~cycles:200 in
+      let settled = prof.Prof.memory_skips in
+      Machine.run m ~cycles:50;
+      Alcotest.(check int) (what ^ ": quiet memories")
+        (50 * List.length analysis.Asim.Analysis.memories)
+        (prof.Prof.memory_skips - settled);
+      Alcotest.(check (option int)) (what ^ ": JSON memory_skips") (Some prof.Prof.memory_skips)
+        Asim_batch.Json.(
+          Option.bind (member "memory_skips" (Asim_batch.Runner.prof_to_json prof)) to_int))
+    [
+      ("mesh-1k", Supernode_designs.mesh_1k ());
+      ("mesh-1k -O2", Supernode_designs.o2 (Supernode_designs.mesh_1k ()));
+    ];
+  let _, prof = run `Compiled (Supernode_designs.mesh_1k ()) ~cycles:50 in
+  Alcotest.(check int) "compiled: none" 0 prof.Prof.memory_skips
+
 (* The instrumented hot path is one int-array increment per evaluation:
    off the sampled cycles it must allocate nothing beyond test_flat's
    fixed allowance (a sampling period longer than the loop keeps the
@@ -229,6 +259,7 @@ let () =
           Alcotest.test_case "memory counters match stats" `Quick
             test_memory_counters_match_stats;
           Alcotest.test_case "supernode scans" `Quick test_supernode_scans;
+          Alcotest.test_case "quiet memories" `Quick test_memory_skips;
         ] );
       ( "reports",
         [ Alcotest.test_case "report surfaces" `Quick test_report_surfaces ] );
